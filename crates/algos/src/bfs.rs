@@ -45,10 +45,10 @@
 //! [`pram_exec::WorkerCtx::converge_rounds`].
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
-use pram_core::{AtomicBitmap, SliceArbiter};
+use crossbeam_utils::CachePadded;
+use pram_core::{AtomicBitmap, Round, SliceArbiter};
 use pram_exec::{
     FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES,
 };
@@ -277,20 +277,16 @@ impl BfsState {
     }
 }
 
-/// This member's contiguous share of `0..len` (the static-block split,
-/// for loops that fold into worker-local accumulators).
-fn member_slice(len: usize, threads: usize, id: usize) -> Range<usize> {
-    (len * id / threads)..(len * (id + 1) / threads)
-}
-
-/// Gatekeeper methods need their cells re-zeroed before the next round;
-/// round-rearming methods just need the barrier `converge_rounds` requires.
+/// Gatekeeper methods need their cells re-zeroed before the next round:
+/// one rendezvous so every claim has landed, then a reset pass that the
+/// round's close orders before the next round's claims. Round-rearming
+/// methods (CAS-LT) need nothing, since a new round re-arms every cell.
 /// Either way the round ends with the adaptive tuning point, a no-op for
 /// static arbiters and pools without telemetry.
 fn rearm<A: SliceArbiter>(ctx: &WorkerCtx<'_>, arb: &A, n: usize) {
-    ctx.barrier();
     if !arb.rearms_on_new_round() {
-        ctx.for_each(0..n, Schedule::default(), |i| {
+        ctx.barrier();
+        ctx.for_each_nowait(0..n, Schedule::default(), |i| {
             arb.reset_range(i..i + 1);
         });
     }
@@ -307,7 +303,7 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
 
     let rounds = AtomicU32::new(0);
     pool.run(|ctx| {
-        let c = ctx.converge_rounds(max_rounds, |round, flag| {
+        let c = ctx.converge_rounds(max_rounds, None, |round, flag| {
             ctx.annotate_round("expand");
             let l = round.get() - 1; // the level being expanded
             ctx.for_each_nowait(0..n, Schedule::default(), |v| {
@@ -336,8 +332,21 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
     st.into_result(rounds.into_inner())
 }
 
+/// One member's share of a frontier's `(size, out-edges)`, written by the
+/// round that builds the frontier and summed by every member after that
+/// round's close.
+#[derive(Default)]
+struct FrontierTally {
+    size: AtomicUsize,
+    edges: AtomicUsize,
+}
+
 /// Frontier-centric BFS: top-down sparse queue, optionally switching to a
 /// bottom-up bitmap pull (`allow_pull` = direction-optimizing).
+///
+/// A top-down level with a round-rearming arbiter pays one barrier episode
+/// (the round's close); a pull level pays two, plus one or two for the
+/// level that converts the frontier's representation.
 fn bfs_frontier<A: SliceArbiter>(
     g: &CsrGraph,
     rev: Option<&ReverseCsr>,
@@ -351,6 +360,7 @@ fn bfs_frontier<A: SliceArbiter>(
     let st = BfsState::new(n, source);
     let offsets = g.offsets();
     let targets = g.targets();
+    let degree = |v: usize| offsets[v + 1] - offsets[v];
     // The in-edge view (with edge provenance for sel_edge) is only needed
     // if a pull round can happen; build it unless the caller already did.
     let rev_owned;
@@ -361,49 +371,48 @@ fn bfs_frontier<A: SliceArbiter>(
         rev
     };
 
-    // Double-buffered frontier in both representations; which pair member
-    // is "current" is tracked per worker and advances in lockstep because
-    // every direction decision is derived from team-wide reductions.
+    // The frontier in both representations, and its tallies, are double-
+    // buffered by round parity: round `r` reads slot `1 - r % 2` and
+    // builds slot `r % 2`. Every direction decision is derived from the
+    // team-wide tallies, so all members pick the same buffers.
+    let parity = |round: Round| (round.get() % 2) as usize;
     let queues = [
         FrontierBuffer::with_capacity(n),
         FrontierBuffer::with_capacity(n),
     ];
-    let bitmaps = [AtomicBitmap::new(n.max(1)), AtomicBitmap::new(n.max(1))];
+    let bitmaps = [AtomicBitmap::new(n), AtomicBitmap::new(n)];
+    let tallies: [Vec<CachePadded<FrontierTally>>; 2] = [0, 1].map(|_| {
+        (0..pool.num_threads())
+            .map(|_| CachePadded::default())
+            .collect()
+    });
     queues[0].publish(&[source as u64]);
+    tallies[0][0].size.store(1, Ordering::Relaxed);
+    tallies[0][0]
+        .edges
+        .store(degree(source as usize), Ordering::Relaxed);
 
     let max_rounds = n as u32 + 1;
     let rounds = AtomicU32::new(0);
 
     pool.run(|ctx| {
-        let threads = ctx.num_threads();
-        let id = ctx.thread_id();
-        let mut qi = 0usize; // queues[qi] holds the current frontier...
-        let mut bi = 0usize; // ...or bitmaps[bi] does, when cur_is_bits
         let mut cur_is_bits = false;
 
-        let c = ctx.converge_rounds(max_rounds, |round, flag| {
+        // Round r's close clears the queue round r read: round r + 1
+        // publishes into it.
+        let on_close = |round: Round| queues[1 - parity(round)].clear();
+        let c = ctx.converge_rounds(max_rounds, Some(&on_close), |round, flag| {
             let l = round.get() - 1;
-
-            // Frontier stats (size, out-edges) — O(1) per vertex thanks to
-            // the CSR degree prefix sum; team-combined by one reduction.
-            let (fsize, fedges) = if cur_is_bits {
-                let bits = &bitmaps[bi];
-                let (mut s, mut e) = (0usize, 0usize);
-                for w in member_slice(bits.num_words(), threads, id) {
-                    bits.for_each_set_in_word(w, |v| {
-                        s += 1;
-                        e += offsets[v + 1] - offsets[v];
-                    });
-                }
-                ctx.reduce((s, e), |a, b| (a.0 + b.0, a.1 + b.1))
-            } else {
-                let q = &queues[qi];
-                let e = ctx.frontier_edge_count(q, |v| {
-                    let v = v as usize;
-                    offsets[v + 1] - offsets[v]
-                });
-                (q.len(), e)
-            };
+            // Slot indices: this round reads `ci` and builds `ni`.
+            let (ci, ni) = (1 - parity(round), parity(round));
+            let (fsize, fedges) = tallies[ci].iter().fold((0, 0), |(s, e), t| {
+                (
+                    s + t.size.load(Ordering::Relaxed),
+                    e + t.edges.load(Ordering::Relaxed),
+                )
+            });
+            // This member's tally of the frontier this round builds.
+            let (mut size, mut edges) = (0usize, 0usize);
 
             // Direction heuristic (Beamer): identical on every member.
             let pull = allow_pull
@@ -413,30 +422,6 @@ fn bfs_frontier<A: SliceArbiter>(
                     fedges > m / DIRECTION_ALPHA
                 };
 
-            // Representation conversion when the direction flips.
-            if pull && !cur_is_bits {
-                let bits = &bitmaps[bi];
-                let q = &queues[qi];
-                ctx.for_each(0..bits.num_words(), Schedule::default(), |w| {
-                    bits.clear_word(w);
-                });
-                ctx.for_each(0..q.len(), Schedule::default(), |i| {
-                    bits.insert(q.get(i) as usize);
-                });
-                cur_is_bits = true;
-            } else if !pull && cur_is_bits {
-                let bits = &bitmaps[bi];
-                let q = &queues[qi];
-                ctx.barrier_with(|| q.clear());
-                let mut local = LocalBuffer::new();
-                ctx.for_each_nowait(0..bits.num_words(), Schedule::default(), |w| {
-                    bits.for_each_set_in_word(w, |v| local.push(v as u64, q));
-                });
-                local.flush(q);
-                ctx.barrier();
-                cur_is_bits = false;
-            }
-
             if pull {
                 // Bottom-up: every unvisited vertex scans its in-edges and
                 // stops at the first frontier neighbor. The claim still
@@ -445,36 +430,69 @@ fn bfs_frontier<A: SliceArbiter>(
                 // single prospective writer.
                 ctx.annotate_round("pull");
                 let rev = rev.expect("pull implies reverse view");
-                let cur = &bitmaps[bi];
-                let next = &bitmaps[1 - bi];
-                ctx.for_each(0..next.num_words(), Schedule::default(), |w| {
-                    next.clear_word(w);
-                });
-                ctx.for_each_nowait(0..n, Schedule::Dynamic { chunk: 64 }, |v| {
-                    if st.visited[v].load(Ordering::Relaxed) != 0 {
-                        return;
-                    }
-                    for (w, e) in rev.in_edges(v as u32) {
-                        if cur.contains(w as usize) {
-                            if arb.try_claim(v, round) {
-                                st.commit(v, w, e, l + 1);
-                                next.insert(v);
-                                flag.set();
+                let (cur, next) = (&bitmaps[ci], &bitmaps[ni]);
+                if cur_is_bits {
+                    ctx.for_each(0..next.num_words(), Schedule::default(), |w| {
+                        next.clear_word(w);
+                    });
+                } else {
+                    // Convert the queue round r - 1 built into a bitmap.
+                    let q = &queues[ci];
+                    ctx.for_each(0..cur.num_words(), Schedule::default(), |w| {
+                        cur.clear_word(w);
+                        next.clear_word(w);
+                    });
+                    ctx.for_each(0..q.len(), Schedule::default(), |i| {
+                        cur.insert(q.get(i) as usize);
+                    });
+                    cur_is_bits = true;
+                }
+                // One word of vertices per grab, so each word of `next` is
+                // written by one member, which tallies it once done.
+                ctx.for_each_nowait(0..next.num_words(), Schedule::Dynamic { chunk: 1 }, |w| {
+                    for v in 64 * w..(64 * (w + 1)).min(n) {
+                        if st.visited[v].load(Ordering::Relaxed) != 0 {
+                            continue;
+                        }
+                        for (p, e) in rev.in_edges(v as u32) {
+                            if cur.contains(p as usize) {
+                                if arb.try_claim(v, round) {
+                                    st.commit(v, p, e, l + 1);
+                                    next.insert(v);
+                                    flag.set();
+                                }
+                                break;
                             }
-                            break;
                         }
                     }
+                    next.for_each_set_in_word(w, |v| {
+                        size += 1;
+                        edges += degree(v);
+                    });
                 });
-                rearm(ctx, arb, n);
-                bi = 1 - bi;
-                cur_is_bits = true;
             } else {
                 // Top-down: expand the queue with degree-weighted chunks,
                 // staging discoveries in per-worker buffers.
                 ctx.annotate_round("push");
-                let cur = &queues[qi];
-                let next = &queues[1 - qi];
-                ctx.barrier_with(|| next.clear());
+                let (cur, next) = (&queues[ci], &queues[ni]);
+                if cur_is_bits {
+                    // Convert the bitmap round r - 1 built into a queue;
+                    // the close of round r - 2 cleared it.
+                    let bits = &bitmaps[ci];
+                    let mut local = LocalBuffer::new();
+                    ctx.for_each_nowait(0..bits.num_words(), Schedule::default(), |w| {
+                        bits.for_each_set_in_word(w, |v| local.push(v as u64, cur));
+                    });
+                    local.flush(cur);
+                    ctx.barrier();
+                    cur_is_bits = false;
+                }
+                // Out-degrees are summed per published batch, not next to
+                // the claim.
+                let mut tally = |batch: &[u64]| {
+                    size += batch.len();
+                    edges += batch.iter().map(|&u| degree(u as usize)).sum::<usize>();
+                };
                 let mut local = LocalBuffer::new();
                 ctx.for_each_frontier(cur, fedges, FRONTIER_GRAIN_EDGES, |vu| {
                     let v = vu as usize;
@@ -483,18 +501,19 @@ fn bfs_frontier<A: SliceArbiter>(
                         let u = targets[j] as usize;
                         if st.visited[u].load(Ordering::Relaxed) == 0 && arb.try_claim(u, round) {
                             st.commit(u, v as u32, j, l + 1);
-                            local.push(u as u64, next);
+                            local.push_with(u as u64, next, &mut tally);
                             flag.set();
                         }
                     }
                 });
-                // Publication is still ordered before the next round's
-                // reads by the rearm/convergence barriers.
-                local.flush(next);
-                rearm(ctx, arb, n);
-                qi = 1 - qi;
-                cur_is_bits = false;
+                local.flush_with(next, &mut tally);
             }
+            // Published before the next round reads it by this round's
+            // close, like the queue or bitmap it describes.
+            let mine = &tallies[ni][ctx.thread_id()];
+            mine.size.store(size, Ordering::Relaxed);
+            mine.edges.store(edges, Ordering::Relaxed);
+            rearm(ctx, arb, n);
         });
         ctx.master(|| rounds.store(c.rounds, Ordering::Relaxed));
     });

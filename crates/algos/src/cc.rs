@@ -134,7 +134,7 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             });
         };
 
-        let c = ctx.converge_rounds(max_iters, |iter_round, flag| {
+        let c = ctx.converge_rounds(max_iters, None, |iter_round, flag| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
             // Two distinct CW rounds per iteration (one per hooking phase).
@@ -277,7 +277,7 @@ pub fn cc_worklist_with_arbiter<A: SliceArbiter>(
             });
         };
 
-        let c = ctx.converge_rounds(max_iters, |iter_round, flag| {
+        let c = ctx.converge_rounds(max_iters, None, |iter_round, flag| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
             let hook_rounds = [

@@ -76,7 +76,7 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
 
     let max_rounds = (n as u32) / 2 + 2;
     pool.run(|ctx| {
-        let c = ctx.converge_rounds(max_rounds.max(1), |round, flag| {
+        let c = ctx.converge_rounds(max_rounds.max(1), None, |round, flag| {
             ctx.for_each_nowait(0..m, Schedule::default(), |e| {
                 let (u, v) = edges[e];
                 if partner[u as usize].load(Ordering::Relaxed) != UNMATCHED

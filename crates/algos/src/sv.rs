@@ -62,7 +62,7 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
 
     pool.run(|ctx| {
         let sched = Schedule::default();
-        let c = ctx.converge_rounds(max_iters, |round, flag| {
+        let c = ctx.converge_rounds(max_iters, None, |round, flag| {
             // Hook: for each edge, try to hang u's root onto a smaller
             // parent value from v's side.
             ctx.for_each(0..m, sched, |e| {

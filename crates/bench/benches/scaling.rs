@@ -110,7 +110,7 @@ fn mechanism_rows(threads_list: &[usize]) -> Vec<String> {
 
         let caslt = CasLtArray::new(CELLS);
         pool.run(|ctx| {
-            ctx.converge_rounds(ROUNDS, |round, flag| {
+            ctx.converge_rounds(ROUNDS, None, |round, flag| {
                 ctx.annotate_round("mech-caslt");
                 for i in 0..CELLS {
                     caslt.try_claim(i, round);
@@ -143,7 +143,7 @@ fn mechanism_rows(threads_list: &[usize]) -> Vec<String> {
 
         let gate = GatekeeperArray::new(CELLS);
         pool.run(|ctx| {
-            ctx.converge_rounds(ROUNDS, |round, flag| {
+            ctx.converge_rounds(ROUNDS, None, |round, flag| {
                 ctx.annotate_round("mech-gatekeeper");
                 for i in 0..CELLS {
                     gate.try_claim(i, round);

@@ -40,16 +40,28 @@
 //!   `pram_core::AdaptiveArbiter` avoids by switching only in the elected
 //!   member's slot of the round barrier, and the violation the
 //!   `check_adaptive` tier must be able to see.
+//! * [`BuggyRoundClose`] is the fused round close of
+//!   `pram_exec::WorkerCtx::converge_rounds` (one rendezvous per round
+//!   whose elected window re-arms the next round's convergence flag and
+//!   zeroes the dynamic-loop cursor) with one of two [`CloseBug`]s: the
+//!   window re-arms the *current* round's flag slot, erasing votes before
+//!   anyone reads them, or each member zeroes the cursor as it leaves the
+//!   loop and then meets the others at a plain rendezvous, rewinding a
+//!   cursor a peer may still be grabbing from. The first loses a `set()`
+//!   on every schedule; the second duplicates a loop index only when a
+//!   peer grabs after the early zeroing.
 //!
-//! All of these route their shared state through `pram_core::sync`, so
-//! under `--cfg pram_check` every racy load and store is a scheduling
+//! All of these route their racy shared state through `pram_core::sync`,
+//! so under `--cfg pram_check` every racy load and store is a scheduling
 //! point.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use pram_core::sync::{self as psync, AtomicU32, Ordering};
+use pram_core::sync::{self as psync, AtomicU32, AtomicU64, Ordering};
 use pram_core::{Round, SliceArbiter};
+use pram_exec::DisseminationBarrier;
+use std::sync::atomic::AtomicU32 as PlainU32;
 
 /// CAS-LT with the CAS replaced by a check-then-act load/store pair.
 ///
@@ -447,6 +459,57 @@ impl DroppingStealer {
             return batch.pop_front();
         }
         None
+    }
+}
+
+/// Which defect a [`BuggyRoundClose`] seeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CloseBug {
+    /// Round `i`'s window re-arms flag slot `i % 2`, the one round `i`
+    /// voted into, instead of slot `(i + 1) % 2`.
+    ResetsCurrentSlot,
+    /// The window re-arms the right flag slot, but each member zeroes the
+    /// cursor before the rendezvous instead of the elected member inside
+    /// the window.
+    CursorZeroedBeforeRendezvous,
+}
+
+/// The fused round close over a real [`DisseminationBarrier`], with a
+/// seeded [`CloseBug`] (see module docs). Flag slots are plain atomics,
+/// as in `crate::sync_models::FusedRounds`.
+#[derive(Debug)]
+pub struct BuggyRoundClose {
+    barrier: DisseminationBarrier,
+    bug: CloseBug,
+}
+
+impl BuggyRoundClose {
+    /// A broken close for `total` participants. The barrier only spins
+    /// (never time-parks), as the checker requires.
+    pub fn new(total: usize, bug: CloseBug) -> BuggyRoundClose {
+        BuggyRoundClose {
+            barrier: DisseminationBarrier::new(total, pram_exec::WaitPolicy::Active, 0),
+            bug,
+        }
+    }
+
+    /// Round `i`'s closing rendezvous, broken as `self.bug` says.
+    pub fn close(&self, tid: usize, i: usize, flags: &[PlainU32; 2], cursor: &AtomicU64) {
+        match self.bug {
+            CloseBug::ResetsCurrentSlot => {
+                // BUG (intentional): slot i % 2 still holds round i's vote.
+                self.barrier.wait_with(tid, || {
+                    flags[i % 2].store(0, Ordering::Relaxed);
+                    cursor.store(0, Ordering::Relaxed);
+                });
+            }
+            CloseBug::CursorZeroedBeforeRendezvous => {
+                // BUG (intentional): a peer may still be grabbing.
+                cursor.store(0, Ordering::Relaxed);
+                self.barrier
+                    .wait_with(tid, || flags[(i + 1) % 2].store(0, Ordering::Relaxed));
+            }
+        }
     }
 }
 

@@ -36,12 +36,14 @@
 //! (single winner, reset/re-arm, priority minimum, payload non-tearing),
 //! [`sync_models`] extends the same treatment to the execution substrate's
 //! own synchronization (the dissemination barrier's no-early-release /
-//! episode-reuse / broadcast-visibility contract, and the work-stealing
-//! loop's no-drop / no-duplicate coverage), and [`buggy`] provides
+//! episode-reuse / broadcast-visibility contract, the work-stealing
+//! loop's no-drop / no-duplicate coverage, and the one-rendezvous-per-round
+//! close of the convergence loop), and [`buggy`] provides
 //! deliberately broken implementations — a check-then-act CAS-LT, a
 //! gatekeeper that decides on a counter *read*, a dissemination barrier
 //! one signal round short, a stealer that drops part of its stolen batch,
-//! an adaptive arbiter that switches delegates mid-round instead of at an
+//! a round close that re-arms the wrong flag slot or zeroes the loop
+//! cursor outside its elected window, an adaptive arbiter that switches delegates mid-round instead of at an
 //! epoch boundary — that the checker must *catch*, pinning its own
 //! sensitivity.
 //!
@@ -69,8 +71,8 @@ pub mod models;
 pub mod sync_models;
 
 pub use buggy::{
-    BuggyCasLtArray, BuggyCasLtCell, BuggySwitchArbiter, CountingClaimCell, DroppingStealer,
-    EarlyReleaseBarrier,
+    BuggyCasLtArray, BuggyCasLtCell, BuggyRoundClose, BuggySwitchArbiter, CloseBug,
+    CountingClaimCell, DroppingStealer, EarlyReleaseBarrier,
 };
 pub use schedule::{Chooser, DfsChooser, FixedChooser, PctChooser, RandomChooser};
 
@@ -84,4 +86,6 @@ pub use explore::{
 #[cfg(pram_check)]
 pub use models::{Model, TelemetryPassive};
 #[cfg(pram_check)]
-pub use sync_models::{BarrierLockstep, ModelBarrier, ModelStealSource, StealCoverage};
+pub use sync_models::{
+    BarrierLockstep, FusedRounds, ModelBarrier, ModelRoundClose, ModelStealSource, StealCoverage,
+};

@@ -19,11 +19,19 @@
 //!   marking every index they execute; afterwards every index must have
 //!   been executed exactly once (no drop, no duplicate), under every
 //!   explored interleaving of pops and steals.
+//! * [`FusedRounds`] — the protocol of `WorkerCtx::converge_rounds` past
+//!   its entry rendezvous: rounds that each run a dynamic loop with no
+//!   entry rendezvous of its own, vote on a double-buffered convergence flag, write
+//!   per-member stats slots double-buffered by round parity, and meet at
+//!   one closing rendezvous whose elected window re-arms the next round's
+//!   flag slot and zeroes the cursor. Checked: every loop index is taken
+//!   exactly once per round, no vote is lost (or invented), and every
+//!   stats slot reads back what its member wrote that round.
 //!
-//! Both are generic over the primitive so the same program drives the
+//! All are generic over the primitive so the same program drives the
 //! real implementation (must stay clean) and the seeded bugs in
-//! [`crate::buggy`] (must be caught): [`EarlyReleaseBarrier`] and
-//! [`DroppingStealer`].
+//! [`crate::buggy`] (must be caught): [`EarlyReleaseBarrier`],
+//! [`DroppingStealer`] and [`BuggyRoundClose`].
 //!
 //! Only the dissemination topology is modelable: the centralized
 //! `SpinBarrier` waits on plain `std` atomics the checker cannot see (a
@@ -31,11 +39,12 @@
 //! the lockstep executor would hang waiting for quiescence).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
+use pram_core::sync as psync;
 use pram_exec::{DisseminationBarrier, StealQueues};
 
-use crate::buggy::{DroppingStealer, EarlyReleaseBarrier};
+use crate::buggy::{BuggyRoundClose, DroppingStealer, EarlyReleaseBarrier};
 use crate::models::Model;
 
 /// The barrier surface [`BarrierLockstep`] drives — object-safe so one
@@ -216,6 +225,179 @@ impl<Q: ModelStealSource> Model for StealCoverage<Q> {
                 1 => {}
                 0 => return Err(format!("index {i} dropped: never executed")),
                 n => return Err(format!("index {i} duplicated: executed {n} times")),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The closing rendezvous [`FusedRounds`] drives, with its elected-window
+/// resets.
+pub trait ModelRoundClose: Sync {
+    /// Round `i`'s close: re-arm flag slot `(i + 1) % 2` and zero the
+    /// cursor.
+    fn close(&self, tid: usize, i: usize, flags: &[AtomicU32; 2], cursor: &psync::AtomicU64);
+}
+
+/// The real protocol, as `converge_rounds` runs it over the team barrier.
+impl ModelRoundClose for DisseminationBarrier {
+    fn close(&self, tid: usize, i: usize, flags: &[AtomicU32; 2], cursor: &psync::AtomicU64) {
+        self.wait_with(tid, || {
+            flags[(i + 1) % 2].store(0, Ordering::Relaxed);
+            cursor.store(0, Ordering::Relaxed);
+        });
+    }
+}
+
+impl ModelRoundClose for BuggyRoundClose {
+    fn close(&self, tid: usize, i: usize, flags: &[AtomicU32; 2], cursor: &psync::AtomicU64) {
+        BuggyRoundClose::close(self, tid, i, flags, cursor);
+    }
+}
+
+/// Consecutive fused rounds with no entry rendezvous (see module docs).
+///
+/// The model starts in the state the entry rendezvous leaves (flag slot 0
+/// clear, cursor zero), so every round runs its loop with no rendezvous
+/// before it but the previous close. In round `i < rounds - 1`, member
+/// `i % threads` sets the flag; the last round sets nothing, so a correct
+/// protocol runs exactly `rounds` rounds.
+///
+/// Only the cursor (and the barrier) is instrumented; the flag and stats
+/// slots are plain atomics. Each access to them directly follows one of
+/// its member's scheduling points (a barrier exit or a cursor grab), so
+/// the explorer can still run any peer ahead of it, and the accesses they
+/// could race with are all ordered by a rendezvous. Instrumenting them
+/// would only multiply the schedule tree, which is already too large to
+/// exhaust: two rounds at two threads exceed 400,000 executions.
+pub struct FusedRounds<C> {
+    name: String,
+    close: C,
+    threads: usize,
+    rounds: usize,
+    len: usize,
+    cursor: psync::AtomicU64,
+    flags: [AtomicU32; 2],
+    stats: [Box<[AtomicU64]>; 2],
+    /// Bookkeeping.
+    hits: Vec<AtomicU32>,
+    voted: Vec<AtomicBool>,
+    executed: Vec<AtomicUsize>,
+    violation: std::sync::Mutex<Option<String>>,
+}
+
+impl<C: ModelRoundClose> FusedRounds<C> {
+    /// `threads` members running up to `rounds` rounds, each with a
+    /// dynamic loop over `0..len` (chunk 1).
+    pub fn new(name: &str, close: C, threads: usize, rounds: usize, len: usize) -> FusedRounds<C> {
+        let slots = || (0..threads).map(|_| AtomicU64::new(0)).collect();
+        FusedRounds {
+            name: name.to_string(),
+            close,
+            threads,
+            rounds,
+            len,
+            cursor: psync::AtomicU64::new(0),
+            flags: [AtomicU32::new(0), AtomicU32::new(0)],
+            stats: [slots(), slots()],
+            hits: (0..rounds * len).map(|_| AtomicU32::new(0)).collect(),
+            voted: (0..rounds).map(|_| AtomicBool::new(false)).collect(),
+            executed: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
+            violation: std::sync::Mutex::new(None),
+        }
+    }
+
+    /// What member `tid` writes to its stats slot in round `i`.
+    fn stamp(i: usize, tid: usize) -> u64 {
+        ((i as u64 + 1) << 8) | tid as u64
+    }
+
+    fn report(&self, msg: String) {
+        self.violation
+            .lock()
+            .expect("bookkeeping lock poisoned")
+            .get_or_insert(msg);
+    }
+}
+
+impl<C: ModelRoundClose> Model for FusedRounds<C> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn threads(&self) -> usize {
+        self.threads
+    }
+    fn run(&self, _phase: usize, tid: usize) {
+        use Ordering::Relaxed;
+        for i in 0..self.rounds {
+            // The body: a dynamic loop trusting the cursor the previous
+            // window zeroed, a vote, and this member's stats slot.
+            loop {
+                let k = self.cursor.fetch_add(1, Relaxed) as usize;
+                if k >= self.len {
+                    break;
+                }
+                self.hits[i * self.len + k].fetch_add(1, Relaxed);
+            }
+            if i + 1 < self.rounds && tid == i % self.threads {
+                self.voted[i].store(true, Relaxed);
+                self.flags[i % 2].store(1, Relaxed);
+            }
+            self.stats[i % 2][tid].store(Self::stamp(i, tid), Relaxed);
+
+            self.close.close(tid, i, &self.flags, &self.cursor);
+
+            let changed = self.flags[i % 2].load(Relaxed) != 0;
+            let voted = self.voted[i].load(Relaxed);
+            if changed != voted {
+                self.report(format!(
+                    "round {i}: member {tid} read the flag as {changed}, but a vote was {}",
+                    if voted { "cast (lost set)" } else { "not cast" }
+                ));
+            }
+            // The next member's slot: with two members, the peer's.
+            let m = (tid + 1) % self.threads;
+            let got = self.stats[i % 2][m].load(Relaxed);
+            if got != Self::stamp(i, m) {
+                self.report(format!(
+                    "round {i}: member {tid} read stats slot {m} as {got:#x}, expected {:#x}",
+                    Self::stamp(i, m)
+                ));
+            }
+            self.executed[tid].store(i + 1, Relaxed);
+            if !changed {
+                break;
+            }
+        }
+    }
+    fn check_final(&self) -> Result<(), String> {
+        if let Some(msg) = self
+            .violation
+            .lock()
+            .expect("bookkeeping lock poisoned")
+            .take()
+        {
+            return Err(msg);
+        }
+        let rounds = self.executed[0].load(Ordering::Relaxed);
+        if rounds != self.rounds {
+            return Err(format!("ran {rounds} rounds, expected {}", self.rounds));
+        }
+        for (tid, e) in self.executed.iter().enumerate() {
+            let e = e.load(Ordering::Relaxed);
+            if e != rounds {
+                return Err(format!(
+                    "member {tid} ran {e} rounds, member 0 ran {rounds}"
+                ));
+            }
+        }
+        for i in 0..rounds {
+            for k in 0..self.len {
+                match self.hits[i * self.len + k].load(Ordering::Relaxed) {
+                    1 => {}
+                    0 => return Err(format!("round {i}: loop index {k} never taken")),
+                    n => return Err(format!("round {i}: loop index {k} taken {n} times")),
+                }
             }
         }
         Ok(())

@@ -123,7 +123,7 @@ pub struct PoolConfig {
     /// ([`pram_core::CwTelemetry`]): each worker records its claim
     /// outcomes into a cache-padded shard, and
     /// [`crate::WorkerCtx::converge_rounds`] snapshots the merged counters
-    /// at every round's closing barrier into a
+    /// in every round's closing window into a
     /// [`pram_core::RoundReport`]. Implies `collect_stats`. Off by
     /// default; no effect when the `telemetry` feature is disabled.
     pub telemetry: bool,

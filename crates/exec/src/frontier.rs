@@ -24,8 +24,10 @@ use crossbeam_utils::CachePadded;
 /// Writers publish disjoint regions reserved by a single `fetch_add` on
 /// the length; readers consume the whole array after a synchronization
 /// point. [`FrontierBuffer::clear`] recycles the buffer for the next round
-/// and must also be separated from readers/writers by a barrier (the
-/// kernels here clear inside [`crate::WorkerCtx::barrier_with`]).
+/// and must also be separated from readers/writers by a barrier: clear it
+/// in an elected window, preferably the `on_close` hook of
+/// [`crate::WorkerCtx::converge_rounds`], which costs no extra rendezvous
+/// (or [`crate::WorkerCtx::barrier_with`] outside a round loop).
 #[derive(Debug)]
 pub struct FrontierBuffer {
     slots: Box<[AtomicU64]>,
@@ -62,8 +64,10 @@ impl FrontierBuffer {
         self.len() == 0
     }
 
-    /// Drop all entries. Call only while no reader or publisher is active
-    /// (e.g. from the releaser of [`crate::WorkerCtx::barrier_with`]).
+    /// Drop all entries. Call only while no reader or publisher is active:
+    /// from an elected window, such as the `on_close` hook of
+    /// [`crate::WorkerCtx::converge_rounds`] or the closure of
+    /// [`crate::WorkerCtx::barrier_with`].
     #[inline]
     pub fn clear(&self) {
         self.len.store(0, Ordering::Relaxed);
@@ -149,15 +153,35 @@ impl LocalBuffer {
     /// Stage `value`, publishing to `target` if the threshold is reached.
     #[inline]
     pub fn push(&mut self, value: u64, target: &FrontierBuffer) {
+        self.push_with(value, target, |_| {});
+    }
+
+    /// [`LocalBuffer::push`], handing any batch it publishes to
+    /// `on_publish` first: a per-entry tally (say, the out-degrees of a
+    /// new frontier) then runs once per batch, off the caller's hot path.
+    #[inline]
+    pub fn push_with(
+        &mut self,
+        value: u64,
+        target: &FrontierBuffer,
+        on_publish: impl FnMut(&[u64]),
+    ) {
         self.buf.push(value);
         if self.buf.len() >= self.threshold {
-            self.flush(target);
+            self.flush_with(target, on_publish);
         }
     }
 
     /// Publish everything staged to `target`.
     pub fn flush(&mut self, target: &FrontierBuffer) {
+        self.flush_with(target, |_| {});
+    }
+
+    /// [`LocalBuffer::flush`], handing the batch to `on_publish` first
+    /// (see [`LocalBuffer::push_with`]).
+    pub fn flush_with(&mut self, target: &FrontierBuffer, mut on_publish: impl FnMut(&[u64])) {
         if !self.buf.is_empty() {
+            on_publish(&self.buf);
             target.publish(&self.buf);
             self.buf.clear();
         }
@@ -223,6 +247,20 @@ mod tests {
     fn overflow_is_detected() {
         let fb = FrontierBuffer::with_capacity(2);
         fb.publish(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn publish_hooks_see_every_batch_once() {
+        let fb = FrontierBuffer::with_capacity(10);
+        let mut local = LocalBuffer::with_threshold(3);
+        let mut seen = Vec::new();
+        for v in 1..=7 {
+            local.push_with(v, &fb, |batch| seen.push(batch.to_vec()));
+        }
+        local.flush_with(&fb, |batch| seen.push(batch.to_vec()));
+        local.flush_with(&fb, |_| unreachable!("nothing staged"));
+        assert_eq!(seen, vec![vec![1, 2, 3], vec![4, 5, 6], vec![7]]);
+        assert_eq!(fb.to_vec(), (1..=7).collect::<Vec<_>>());
     }
 
     #[test]

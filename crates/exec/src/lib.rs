@@ -40,7 +40,7 @@
 //! PRAM semantics require a synchronization point between a concurrent
 //! write and any dependent read (paper §4). Every loop issued through
 //! [`WorkerCtx::for_each`] ends in a barrier, and
-//! [`WorkerCtx::converge_rounds`] barriers between rounds, so kernels built
+//! [`WorkerCtx::converge_rounds`] closes every round with one, so kernels built
 //! on this crate satisfy the *round discipline* that
 //! [`pram_core::payload`] requires for its multi-word writes — the safety
 //! argument is structural, not per-call-site.

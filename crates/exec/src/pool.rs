@@ -18,6 +18,7 @@
 //! `run` calls panic immediately — because team state (barrier phase,
 //! cursors) is unrecoverable mid-protocol.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -72,8 +73,10 @@ struct DispatchState {
 struct PoolShared {
     threads: usize,
     barrier: TeamBarrier,
-    /// Shared loop cursor for dynamic/guided scheduling. Reset by the
-    /// barrier releaser at loop entry, so no reset/grab race exists.
+    /// Shared loop cursor for dynamic/guided scheduling. Only ever zeroed
+    /// in the elected window of a full rendezvous (a loop's entry, or the
+    /// entry and round closes of `converge_rounds`), so no reset/grab race
+    /// exists; see `WorkerCtx::cursor_zeroed`.
     cursor: CachePadded<AtomicUsize>,
     /// Per-worker chunk deques for `Schedule::Stealing`. Reuse across
     /// loops is barrier-separated (see the stealing arm of
@@ -94,12 +97,12 @@ struct PoolShared {
     /// [`ThreadPool::take_round_report`].
     round_log: Mutex<Vec<RoundSnapshot>>,
     /// Kernel-supplied label for the round in flight
-    /// ([`WorkerCtx::annotate_round`]); taken by the member-0 snapshot at
-    /// the round's closing barrier.
+    /// ([`WorkerCtx::annotate_round`]); taken by the snapshot in the
+    /// round's closing window.
     round_label: Mutex<Option<&'static str>>,
     /// Adaptive-arbitration switch decisions made during the round in
-    /// flight ([`WorkerCtx::tune`]); appended to the round's label at the
-    /// member-0 snapshot, exposing the decision trace through
+    /// flight ([`WorkerCtx::tune`]); appended to the round's label by the
+    /// closing-window snapshot, exposing the decision trace through
     /// [`RoundReport`] with no schema change.
     switch_note: Mutex<Option<String>>,
     /// The pool's preferred concurrent-write method
@@ -108,16 +111,16 @@ struct PoolShared {
     /// Monotone id handed to each `converge_rounds` invocation, grouping
     /// its rounds in the report ("epoch" = one kernel run).
     epoch: AtomicU32,
-    /// Counter baseline captured at each round's opening rendezvous (all
-    /// members quiescent), subtracted at the closing barrier to form the
-    /// round's deltas.
-    round_base: Mutex<(CwCounters, ExecCounters)>,
+    /// The round in flight as seen by telemetry: opened in the elected
+    /// window of `converge_rounds`' entry rendezvous or of the previous
+    /// round's close (all members quiescent), closed in its own.
+    round_open: Mutex<RoundOpen>,
     /// Pool creation time: the origin for all round timestamps, so spans
     /// from different epochs share one monotone clock.
     t0: std::time::Instant,
     /// Double-buffered convergence flags for `converge_rounds`; round `i`
-    /// uses slot `i % 2`, and barrier spacing guarantees slot reuse is
-    /// race-free (see `converge_rounds`).
+    /// uses slot `i % 2`, and round `i`'s close re-arms slot `(i + 1) % 2`
+    /// (see `converge_rounds` for why that is race-free).
     changed: [CachePadded<AtomicBool>; 2],
     dispatch: Mutex<DispatchState>,
     dispatch_cv: Condvar,
@@ -130,6 +133,16 @@ struct PoolShared {
     critical: Mutex<()>,
     /// Type-erased accumulator for `WorkerCtx::reduce`.
     reduce_slot: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+/// Telemetry state of the round in flight: its epoch, its start on the
+/// pool clock, and the counter totals it started from.
+#[derive(Default)]
+struct RoundOpen {
+    epoch: u32,
+    start_ns: u64,
+    cw: CwCounters,
+    exec: ExecCounters,
 }
 
 /// A persistent team of threads executing SPMD regions.
@@ -180,7 +193,7 @@ impl ThreadPool {
             switch_note: Mutex::new(None),
             method: config.method,
             epoch: AtomicU32::new(0),
-            round_base: Mutex::new((CwCounters::default(), ExecCounters::default())),
+            round_open: Mutex::new(RoundOpen::default()),
             t0: std::time::Instant::now(),
             changed: [
                 CachePadded::new(AtomicBool::new(false)),
@@ -304,10 +317,7 @@ impl ThreadPool {
             .telem
             .as_ref()
             .map(|t| ShardGuard::install(t.shard(0)));
-        let ctx = WorkerCtx {
-            shared: &self.shared,
-            id: 0,
-        };
+        let ctx = WorkerCtx::new(&self.shared, 0);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
             self.shared.barrier.poison();
             self.shared.panic_payload.lock().get_or_insert(payload);
@@ -364,7 +374,7 @@ fn worker_loop(shared: &PoolShared, id: usize) {
                 shared.dispatch_cv.wait(&mut st);
             }
         };
-        let ctx = WorkerCtx { shared, id };
+        let ctx = WorkerCtx::new(shared, id);
         // SAFETY: `run` keeps the pointee alive until all workers complete.
         let res = catch_unwind(AssertUnwindSafe(|| unsafe { (&*job.0)(&ctx) }));
         if let Err(payload) = res {
@@ -415,6 +425,22 @@ impl ChangedFlag<'_> {
 pub struct WorkerCtx<'p> {
     shared: &'p PoolShared,
     id: usize,
+    /// `true` when this member has passed a window that zeroed the shared
+    /// cursor since its last dynamic or guided loop. Every member runs the
+    /// same sequence of constructs, so the flag agrees team-wide and the
+    /// next such loop may skip its entry rendezvous: nobody has grabbed
+    /// from the cursor since it was zeroed.
+    cursor_zeroed: Cell<bool>,
+}
+
+impl<'p> WorkerCtx<'p> {
+    fn new(shared: &'p PoolShared, id: usize) -> WorkerCtx<'p> {
+        WorkerCtx {
+            shared,
+            id,
+            cursor_zeroed: Cell::new(false),
+        }
+    }
 }
 
 impl WorkerCtx<'_> {
@@ -496,11 +522,17 @@ impl WorkerCtx<'_> {
 
     /// [`WorkerCtx::for_each`] without the ending barrier (`nowait`).
     ///
-    /// Dynamic and guided schedules still synchronize once at loop *entry*
-    /// (the shared cursor must be reset by a full rendezvous), and the
-    /// stealing schedule twice (quiesce the previous loop's deque users,
-    /// then publish the seeded deques); static schedules are entirely
-    /// synchronization-free.
+    /// Static schedules are entirely synchronization-free. Dynamic and
+    /// guided schedules need a shared cursor zeroed by a full rendezvous:
+    /// they skip that entry rendezvous when one has happened since this
+    /// member's last dynamic or guided loop (the entry and every round
+    /// close of [`WorkerCtx::converge_rounds`] zero the cursor), and pay
+    /// one otherwise. The stealing schedule synchronizes twice (quiesce
+    /// the previous loop's deque users, then publish the seeded deques).
+    ///
+    /// Because the entry rendezvous may be skipped, a nowait loop is no
+    /// synchronization point: order its reads after other members' writes
+    /// with an explicit barrier.
     pub fn for_each_nowait(
         &self,
         range: Range<usize>,
@@ -524,8 +556,7 @@ impl WorkerCtx<'_> {
             }
             Schedule::Dynamic { chunk } => {
                 let chunk = chunk.max(1);
-                let cursor = &self.shared.cursor;
-                self.barrier_with(|| cursor.store(0, Ordering::Relaxed));
+                let cursor = self.zeroed_cursor();
                 let stats = self.shared.stats.as_ref();
                 loop {
                     let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -563,8 +594,7 @@ impl WorkerCtx<'_> {
                 }
             }
             Schedule::Guided { min_chunk } => {
-                let cursor = &self.shared.cursor;
-                self.barrier_with(|| cursor.store(0, Ordering::Relaxed));
+                let cursor = self.zeroed_cursor();
                 loop {
                     let cur = cursor.load(Ordering::Relaxed);
                     if cur >= len {
@@ -587,6 +617,17 @@ impl WorkerCtx<'_> {
                 }
             }
         }
+    }
+
+    /// The shared loop cursor, zeroed for a new dynamic or guided loop:
+    /// free if a zeroing window has passed since this member's last such
+    /// loop (see `cursor_zeroed`), one rendezvous otherwise.
+    fn zeroed_cursor(&self) -> &AtomicUsize {
+        let cursor = &*self.shared.cursor;
+        if !self.cursor_zeroed.replace(false) {
+            self.barrier_with(|| cursor.store(0, Ordering::Relaxed));
+        }
+        cursor
     }
 
     /// Worksharing over a rectangular 2-D index space (OpenMP
@@ -658,38 +699,20 @@ impl WorkerCtx<'_> {
         result
     }
 
-    /// Sum `weight` over the published entries of `frontier` — the
-    /// frontier's edge count, which drives both the chunking of
-    /// [`WorkerCtx::for_each_frontier`] and a direction-optimizing
-    /// push/pull heuristic.
-    ///
-    /// Every team member must call this at the same point (it reduces).
-    /// The scan partitions statically, so the cost is
-    /// `O(frontier.len() / threads)` plus one [`WorkerCtx::reduce`].
-    pub fn frontier_edge_count(
-        &self,
-        frontier: &FrontierBuffer,
-        mut weight: impl FnMut(u64) -> usize,
-    ) -> usize {
-        let len = frontier.len();
-        let mut local = 0usize;
-        for i in static_block(len, self.shared.threads, self.id) {
-            local += weight(frontier.get(i));
-        }
-        self.reduce(local, |a, b| a + b)
-    }
-
     /// Worksharing loop over the published entries of `frontier` with
-    /// degree-weighted chunking and the implicit ending barrier.
+    /// degree-weighted chunking and **no** ending barrier (`nowait`).
     ///
     /// Chunks are sized so each shared-cursor grab covers roughly
     /// `grain_edges` edges, given the frontier's total edge weight
-    /// `frontier_edges` (from [`WorkerCtx::frontier_edge_count`]): a
+    /// `frontier_edges` (which the round that built the frontier can tally
+    /// as it publishes, e.g. with [`crate::LocalBuffer::push_with`]): a
     /// frontier of few heavy vertices is handed out nearly one vertex at a
     /// time, a frontier of many light vertices in large blocks. Dynamic
     /// assignment then rebalances whatever the average-degree estimate
     /// gets wrong. Every team member must call this at the same point with
-    /// the same arguments.
+    /// the same arguments. Like [`WorkerCtx::for_each_nowait`], the loop
+    /// is no synchronization point: inside [`WorkerCtx::converge_rounds`]
+    /// the round's close orders its writes before the next round's reads.
     pub fn for_each_frontier(
         &self,
         frontier: &FrontierBuffer,
@@ -703,7 +726,7 @@ impl WorkerCtx<'_> {
         // Keep at least a few grabs per member so dynamic assignment can
         // actually balance.
         let chunk = chunk.min(len / (4 * self.shared.threads) + 1);
-        self.for_each(0..len, self.irregular_schedule(chunk), |i| {
+        self.for_each_nowait(0..len, self.irregular_schedule(chunk), |i| {
             f(frontier.get(i))
         });
     }
@@ -715,74 +738,75 @@ impl WorkerCtx<'_> {
     /// Every team member must call this at the same point with the same
     /// `max_rounds`. Per round `i`, the body runs with
     /// `Round::from_iteration(i)` — fresh per round, satisfying CAS-LT's
-    /// round discipline — and a [`ChangedFlag`]; barriers bound the round
-    /// on both sides, providing the synchronization point before dependent
-    /// reads *and* the happens-before edge that makes
-    /// [`pram_core::ConVec::write_with`]'s contract hold. The loop exits
-    /// after the first round in which no member set the flag, or after
+    /// round discipline — and a [`ChangedFlag`]. The loop exits after the
+    /// first round in which no member set the flag, or after
     /// `max_rounds`.
+    ///
+    /// A call pays one entry rendezvous, then exactly one barrier episode
+    /// per round: the round's close. That barrier is the synchronization
+    /// point before dependent reads *and* the happens-before edge that
+    /// makes [`pram_core::ConVec::write_with`]'s contract hold. Its
+    /// elected window, run while every member is parked, re-arms the next
+    /// round's flag slot, zeroes the shared loop cursor (so the next
+    /// round's first dynamic or guided loop skips its entry rendezvous),
+    /// closes the round's telemetry snapshot, and runs `on_close` (if any)
+    /// with the closing round — the race-free slot for kernel state the
+    /// next round writes, such as clearing the queue it will publish into.
     ///
     /// Not nestable (it owns the pool's convergence flags).
     pub fn converge_rounds(
         &self,
         max_rounds: u32,
+        on_close: Option<&dyn Fn(Round)>,
         mut body: impl FnMut(Round, &ChangedFlag<'_>),
     ) -> Convergence {
+        if max_rounds == 0 {
+            return Convergence {
+                rounds: 0,
+                converged: false,
+            };
+        }
         let telem = self.shared.telem.as_ref();
-        // One epoch id per converge_rounds invocation; member 0 owns the
-        // snapshot bookkeeping.
-        let epoch = match telem {
-            Some(_) if self.id == 0 => self.shared.epoch.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
+        let cursor = &*self.shared.cursor;
+        // The entry rendezvous: the previous call's members may still be
+        // reading its last flag slot, and the cursor may be mid-loop.
+        self.barrier_with(|| {
+            self.shared.changed[0].store(false, Ordering::Relaxed);
+            cursor.store(0, Ordering::Relaxed);
+            if let Some(t) = telem {
+                // Every member is at the rendezvous: no claim is in
+                // flight, so this baseline is exact for the first round.
+                *self.shared.round_open.lock() = RoundOpen {
+                    epoch: self.shared.epoch.fetch_add(1, Ordering::Relaxed),
+                    start_ns: self.shared.t0.elapsed().as_nanos() as u64,
+                    cw: t.totals(),
+                    exec: self.exec_totals(),
+                };
+            }
+        });
+        self.cursor_zeroed.set(true);
         let mut executed = 0;
         let mut converged = false;
         for i in 0..max_rounds {
+            let round = Round::from_iteration(i);
             let slot = &*self.shared.changed[(i % 2) as usize];
-            // Slot reuse is race-free: round i's reset happens at a barrier
-            // every member reaches only after reading slot (i-2)%2 == i%2
-            // at the end of round i-2, two barriers ago.
+            body(round, &ChangedFlag { flag: slot });
+            // Re-arming slot (i+1)%2 here is race-free: it was last read
+            // after round i-1's close, and every member has left that read
+            // behind to reach this close; round i+1 sets it only after this
+            // window.
+            let next = &*self.shared.changed[((i + 1) % 2) as usize];
             self.barrier_with(|| {
-                slot.store(false, Ordering::Relaxed);
+                next.store(false, Ordering::Relaxed);
+                cursor.store(0, Ordering::Relaxed);
+                if let Some(on_close) = on_close {
+                    on_close(round);
+                }
                 if let Some(t) = telem {
-                    // Every member is at the rendezvous: no claim is in
-                    // flight, so this baseline is exact for the round.
-                    *self.shared.round_base.lock() = (t.totals(), self.exec_totals());
+                    self.close_round_snapshot(t, i);
                 }
             });
-            let start_ns = match telem {
-                Some(_) if self.id == 0 => self.shared.t0.elapsed().as_nanos() as u64,
-                _ => 0,
-            };
-            let flag = ChangedFlag { flag: slot };
-            body(Round::from_iteration(i), &flag);
-            self.barrier();
-            if let Some(t) = telem {
-                if self.id == 0 {
-                    // Quiescent window: sibling members issue no claims
-                    // between the closing barrier above and the next
-                    // rendezvous, so the deltas below are exact.
-                    let (base_cw, base_exec) = *self.shared.round_base.lock();
-                    let label = self.shared.round_label.lock().take().unwrap_or("");
-                    // Fold any adaptive switch decision into the label so
-                    // the decision trace rides the existing report schema.
-                    let label = match self.shared.switch_note.lock().take() {
-                        Some(note) if label.is_empty() => note,
-                        Some(note) => format!("{label} | {note}"),
-                        None => label.to_string(),
-                    };
-                    self.shared.round_log.lock().push(RoundSnapshot {
-                        epoch,
-                        round: i,
-                        label,
-                        start_ns,
-                        wall_ns: (self.shared.t0.elapsed().as_nanos() as u64)
-                            .saturating_sub(start_ns),
-                        cw: t.totals().delta_since(&base_cw),
-                        exec: self.exec_totals().delta_since(&base_exec),
-                    });
-                }
-            }
+            self.cursor_zeroed.set(true);
             executed = i + 1;
             if !slot.load(Ordering::Relaxed) {
                 converged = true;
@@ -795,10 +819,41 @@ impl WorkerCtx<'_> {
         }
     }
 
+    /// Log round `i`'s [`RoundSnapshot`] and open the next round. Runs in
+    /// the elected window of the round's close, where no member issues
+    /// claims, so the deltas are exact and one `totals()` serves both.
+    /// A round's exec counters include the wait of the rendezvous that
+    /// opened it: members record a barrier wait once they leave it.
+    fn close_round_snapshot(&self, t: &CwTelemetry, i: u32) {
+        let now_ns = self.shared.t0.elapsed().as_nanos() as u64;
+        let (cw, exec) = (t.totals(), self.exec_totals());
+        let label = self.shared.round_label.lock().take().unwrap_or("");
+        // Fold any adaptive switch decision into the label so the decision
+        // trace rides the existing report schema.
+        let label = match self.shared.switch_note.lock().take() {
+            Some(note) if label.is_empty() => note,
+            Some(note) => format!("{label} | {note}"),
+            None => label.to_string(),
+        };
+        let mut open = self.shared.round_open.lock();
+        self.shared.round_log.lock().push(RoundSnapshot {
+            epoch: open.epoch,
+            round: i,
+            label,
+            start_ns: open.start_ns,
+            wall_ns: now_ns.saturating_sub(open.start_ns),
+            cw: cw.delta_since(&open.cw),
+            exec: exec.delta_since(&open.exec),
+        });
+        open.start_ns = now_ns;
+        open.cw = cw;
+        open.exec = exec;
+    }
+
     /// Kernel-side round annotation for telemetry: label the round in
     /// flight (e.g. `"push"` / `"pull"` for a direction-optimizing BFS).
-    /// The label is attached to the round's [`RoundSnapshot`] at its
-    /// closing barrier. No-op unless [`PoolConfig::telemetry`] is set;
+    /// The label is attached to the round's [`RoundSnapshot`] in its
+    /// closing window. No-op unless [`PoolConfig::telemetry`] is set;
     /// members of a team may call it redundantly (last write wins, and
     /// kernels pass the same label from every member).
     #[inline]
@@ -992,7 +1047,7 @@ mod tests {
             ctx.for_each(0..1000, Schedule::Dynamic { chunk: 7 }, |i| {
                 sum.fetch_add(i as u64, Ordering::Relaxed);
             });
-            let c = ctx.converge_rounds(10, |round, flag| {
+            let c = ctx.converge_rounds(10, None, |round, flag| {
                 if round.get() < 3 {
                     flag.set();
                 }
@@ -1077,7 +1132,7 @@ mod tests {
         assert!(pool.stats().is_some(), "telemetry implies exec stats");
         let cells = CasLtArray::new(4);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(10, |round, flag| {
+            let c = ctx.converge_rounds(10, None, |round, flag| {
                 ctx.annotate_round("claim");
                 for i in 0..4 {
                     cells.try_claim(i, round);
@@ -1112,7 +1167,7 @@ mod tests {
         assert_eq!(report.totals_cw.wins, 3 * 4);
         // A second epoch, drained separately.
         pool.run(|ctx| {
-            ctx.converge_rounds(1, |round, _| {
+            ctx.converge_rounds(1, None, |round, _| {
                 cells.try_claim(0, round);
                 ctx.barrier();
             });
@@ -1128,7 +1183,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
             ctx.annotate_round("ignored");
-            ctx.converge_rounds(2, |_, _| {
+            ctx.converge_rounds(2, None, |_, _| {
                 ctx.barrier();
             });
         });
@@ -1143,7 +1198,7 @@ mod tests {
         let work = AtomicU64::new(0);
         pool.run(|ctx| {
             // Change for 5 rounds, then stabilize.
-            let c = ctx.converge_rounds(100, |round, flag| {
+            let c = ctx.converge_rounds(100, None, |round, flag| {
                 ctx.master(|| {
                     work.fetch_add(1, Ordering::Relaxed);
                 });
@@ -1162,7 +1217,7 @@ mod tests {
     fn converge_rounds_respects_max() {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(3, |_round, flag| {
+            let c = ctx.converge_rounds(3, None, |_round, flag| {
                 flag.set(); // never converges
             });
             assert_eq!(c.rounds, 3);
@@ -1174,7 +1229,7 @@ mod tests {
     fn converge_rounds_zero_max() {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(0, |_, _| unreachable!());
+            let c = ctx.converge_rounds(0, None, |_, _| unreachable!());
             assert_eq!(c.rounds, 0);
             assert!(!c.converged);
         });
@@ -1185,7 +1240,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         let seen = Mutex::new(Vec::new());
         pool.run(|ctx| {
-            ctx.converge_rounds(10, |round, flag| {
+            ctx.converge_rounds(10, None, |round, flag| {
                 ctx.master(|| seen.lock().push(round.get()));
                 if round.get() < 4 {
                     flag.set();
@@ -1340,9 +1395,7 @@ mod tests {
             ctx.barrier();
 
             // Skewed weights: entry 0 carries almost all the edge weight.
-            let weight = |v: u64| if v == 0 { 100_000 } else { 1 };
-            let total = ctx.frontier_edge_count(&fb, weight);
-            assert_eq!(total, 100_000 + n - 1);
+            let total = 100_000 + n - 1;
             ctx.for_each_frontier(&fb, total, 4096, |v| {
                 hits[v as usize].fetch_add(1, Ordering::Relaxed);
             });
@@ -1358,9 +1411,58 @@ mod tests {
         let pool = ThreadPool::new(3);
         let fb = FrontierBuffer::with_capacity(10);
         pool.run(|ctx| {
-            assert_eq!(ctx.frontier_edge_count(&fb, |_| 1), 0);
             ctx.for_each_frontier(&fb, 0, 4096, |_| unreachable!());
         });
+    }
+
+    #[test]
+    fn frontier_loops_in_rounds_pay_only_the_close() {
+        // A frontier loop per round over a queue the previous round built:
+        // the close publishes the queue, re-zeroes the cursor and (via
+        // `on_close`) clears the queue the next round publishes into, so a
+        // round costs one barrier episode and a call one more.
+        use crate::frontier::{FrontierBuffer, LocalBuffer};
+        let threads = 3;
+        let pool = ThreadPool::with_config(PoolConfig::new(threads).collect_stats(true));
+        let queues = [
+            FrontierBuffer::with_capacity(64),
+            FrontierBuffer::with_capacity(64),
+        ];
+        queues[0].publish(&(0..40).collect::<Vec<_>>());
+        let rounds = 5u32;
+        let seen = Mutex::new(Vec::new());
+        pool.run(|ctx| {
+            let parity = |r: Round| (r.get() % 2) as usize;
+            let on_close = |r: Round| queues[1 - parity(r)].clear();
+            let c = ctx.converge_rounds(rounds + 1, Some(&on_close), |r, flag| {
+                let (cur, next) = (&queues[1 - parity(r)], &queues[parity(r)]);
+                let mut local = LocalBuffer::with_threshold(4);
+                let mut mine = Vec::new();
+                ctx.for_each_frontier(cur, cur.len(), 8, |v| {
+                    mine.push(v);
+                    if r.get() < rounds {
+                        local.push(v, next);
+                        flag.set();
+                    }
+                });
+                local.flush(next);
+                seen.lock().push((r.get(), mine));
+            });
+            assert_eq!(c.rounds, rounds);
+            assert!(c.converged);
+        });
+        for r in 1..=rounds {
+            let mut all: Vec<u64> = seen
+                .lock()
+                .iter()
+                .filter(|(round, _)| *round == r)
+                .flat_map(|(_, vs)| vs.iter().copied())
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..40).collect::<Vec<_>>(), "round {r}");
+        }
+        let waits = pool.stats().unwrap().total_snapshot().barrier_waits;
+        assert_eq!(waits, threads as u64 * (u64::from(rounds) + 1));
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! object), oversubscribed teams, mixed `wait`/`wait_with` episode
 //! sequences, panic poisoning, and both wait policies — for both the
 //! centralized sense-reversing barrier and the dissemination barrier,
-//! driven directly and through the pool.
+//! driven directly and through the pool — plus the barrier episodes the
+//! round-structured kernels pay per level or iteration.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use pram_algos::{bfs_with_strategy, connected_components, BfsStrategy, CwMethod};
 use pram_exec::{
     BarrierKind, DisseminationBarrier, PoolConfig, Schedule, SpinBarrier, TeamBarrier, ThreadPool,
     WaitPolicy,
 };
+use pram_graph::{CsrGraph, GraphGen};
 
 const KINDS: [BarrierKind; 2] = [BarrierKind::Central, BarrierKind::Dissemination];
 const POLICIES: [WaitPolicy; 2] = [WaitPolicy::Active, WaitPolicy::Passive];
@@ -200,4 +203,75 @@ fn pool_panic_poisons_dissemination_team() {
         });
     }));
     assert!(r.is_err(), "worker panic must propagate to the caller");
+}
+
+/// Barrier episodes a pool has run (every member records one wait per
+/// episode).
+fn episodes(pool: &ThreadPool) -> u64 {
+    let st = pool.stats().expect("stats enabled");
+    st.total_snapshot().barrier_waits / pool.num_threads() as u64
+}
+
+#[test]
+fn top_down_bfs_pays_one_episode_per_level() {
+    // A 512-level path: one episode per level (the round's close) plus the
+    // entry rendezvous for a round-rearming arbiter; a gatekeeper level
+    // adds the rendezvous before its reset pass.
+    let g = CsrGraph::from_edges(512, &GraphGen::path(512), true);
+    for (method, per_level) in [(CwMethod::CasLt, 1), (CwMethod::Gatekeeper, 2)] {
+        let pool = ThreadPool::with_config(PoolConfig::new(2).collect_stats(true));
+        let r = bfs_with_strategy(&g, 0, method, BfsStrategy::TopDown, &pool);
+        assert_eq!(r.rounds, 512);
+        let levels = u64::from(r.rounds);
+        let got = episodes(&pool);
+        assert!(
+            got <= per_level * levels + 2,
+            "{method}: {got} episodes for {levels} levels"
+        );
+    }
+}
+
+#[test]
+fn direction_optimizing_pull_round_pays_two_episodes() {
+    // From a star's center the first level already pulls (converting the
+    // queue to a bitmap) and the second pulls again. A round's exec
+    // counters include the rendezvous that opened it, so a pull round
+    // after a pull round shows the previous close plus its own clear.
+    let g = CsrGraph::from_edges(2000, &GraphGen::star(2000), true);
+    let pool = ThreadPool::with_config(PoolConfig::new(2).telemetry(true));
+    let r = bfs_with_strategy(
+        &g,
+        0,
+        CwMethod::CasLt,
+        BfsStrategy::DirectionOptimizing,
+        &pool,
+    );
+    assert_eq!(r.rounds, 2);
+    let report = pool.take_round_report();
+    let labels: Vec<&str> = report.rounds.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(labels, ["pull", "pull"]);
+    let steady = &report.rounds[1];
+    assert!(
+        steady.exec.barrier_waits <= 2 * 2,
+        "{} barrier waits in a steady pull round",
+        steady.exec.barrier_waits
+    );
+}
+
+#[test]
+fn awerbuch_shiloach_pays_twelve_episodes_per_iteration() {
+    // Per iteration: 2 hooking phases x (3 star passes + snapshot + hook)
+    // and the shortcut, each ending in a barrier, and the round's close;
+    // plus one entry rendezvous per call.
+    let edges = GraphGen::new(3).gnm(300, 600);
+    let g = CsrGraph::from_edges(300, &edges, true);
+    let pool = ThreadPool::with_config(PoolConfig::new(2).collect_stats(true));
+    let r = connected_components(&g, CwMethod::CasLt, &pool);
+    assert!(r.iterations >= 2, "{} iterations", r.iterations);
+    let got = episodes(&pool);
+    assert!(
+        got <= 12 * u64::from(r.iterations) + 1,
+        "{got} episodes for {} iterations",
+        r.iterations
+    );
 }

@@ -1,5 +1,6 @@
 //! Model-checking tier for the execution substrate's synchronization:
-//! the dissemination barrier and the work-stealing loop.
+//! the dissemination barrier, the work-stealing loop and the fused round
+//! close of the convergence loop.
 //!
 //! Compiled (and meaningful) only under the instrumented shim:
 //!
@@ -15,10 +16,14 @@
 //!   rendezvous, makes the `wait_with` closure visible to every released
 //!   member, and elects exactly one member per episode; the stealing
 //!   deques execute every index exactly once however pops and steals
-//!   interleave.
+//!   interleave; consecutive fused rounds (one closing rendezvous each,
+//!   no entry rendezvous) take every dynamic-loop index exactly once per
+//!   round, lose no convergence vote, and read back every stats slot.
 //! * **Sensitivity** — the seeded bugs (a barrier one signal round short,
-//!   a stealer that drops part of its stolen batch) are *found*, and the
-//!   reported schedules replay to the same violations.
+//!   a stealer that drops part of its stolen batch, a round close that
+//!   re-arms the current flag slot or zeroes the cursor outside its
+//!   window) are *found*, and the reported schedules replay to the same
+//!   violations.
 //!
 //! Exhaustive models stay at 2 threads (the barrier episodes and the
 //! per-chunk lock operations multiply scheduling points faster than the
@@ -26,10 +31,10 @@
 //! tier.
 #![cfg(pram_check)]
 
-use pram_check::sync_models::{BarrierLockstep, StealCoverage};
+use pram_check::sync_models::{BarrierLockstep, FusedRounds, StealCoverage};
 use pram_check::{
-    explore_exhaustive, explore_random, replay, DroppingStealer, EarlyReleaseBarrier,
-    ExploreOptions,
+    explore_exhaustive, explore_random, replay, BuggyRoundClose, CloseBug, DroppingStealer,
+    EarlyReleaseBarrier, ExploreOptions,
 };
 use pram_exec::{DisseminationBarrier, StealQueues, WaitPolicy};
 
@@ -115,6 +120,50 @@ fn stealing_coverage_random_three_threads() {
     assert_eq!(report.executions, 300);
 }
 
+#[test]
+fn fused_rounds_bounded_exhaustive_two_threads() {
+    // Three consecutive rounds of a two-index dynamic loop with no entry
+    // rendezvous: every explored interleaving must take each index once
+    // per round, keep every vote, and read back every stats slot. The
+    // tree is too large to finish (two rounds of a one-index loop already
+    // exceed 400,000 executions), so this DFS is capped: it varies the
+    // latest scheduling choices first, covering the last round densely,
+    // and the random tiers below sample the earlier rounds.
+    let report = explore_exhaustive(
+        || FusedRounds::new("fused-rounds-2t", real_barrier(2), 2, 3, 2),
+        &ExploreOptions {
+            max_executions: 5_000,
+            ..opts()
+        },
+    );
+    report.assert_clean();
+    assert_eq!(report.executions, 5_000);
+}
+
+#[test]
+fn fused_rounds_random_two_threads() {
+    let report = explore_random(
+        || FusedRounds::new("fused-rounds-2t", real_barrier(2), 2, 3, 2),
+        1_000,
+        0xF05ED2,
+        &opts(),
+    );
+    report.assert_clean();
+    assert_eq!(report.executions, 1_000);
+}
+
+#[test]
+fn fused_rounds_random_three_threads() {
+    let report = explore_random(
+        || FusedRounds::new("fused-rounds-3t", real_barrier(3), 3, 4, 3),
+        300,
+        0xF05ED3,
+        &opts(),
+    );
+    report.assert_clean();
+    assert_eq!(report.executions, 300);
+}
+
 // -------------------------------------------------------------- sensitivity
 
 #[test]
@@ -181,4 +230,51 @@ fn dropping_stealer_is_detected_and_replays() {
         .violation
         .unwrap_or_else(|| panic!("schedule {:?} did not reproduce: {v}", v.schedule));
     assert!(msg.contains("dropped"), "replay diverged: {msg}");
+}
+
+#[test]
+fn close_resetting_the_current_slot_is_detected_and_replays() {
+    // Round 0's vote is erased in the very window meant to publish it.
+    let make = || {
+        let close = BuggyRoundClose::new(2, CloseBug::ResetsCurrentSlot);
+        FusedRounds::new("close-current-slot", close, 2, 3, 2)
+    };
+    let report = explore_exhaustive(make, &opts());
+    let v = report
+        .violation
+        .expect("checker failed to find the current-slot reset");
+    assert!(
+        v.message.contains("lost set"),
+        "unexpected violation: {}",
+        v.message
+    );
+    let replayed = replay(make, &v.schedule);
+    let msg = replayed
+        .violation
+        .unwrap_or_else(|| panic!("schedule {:?} did not reproduce: {v}", v.schedule));
+    assert!(msg.contains("lost set"), "replay diverged: {msg}");
+}
+
+#[test]
+fn cursor_zeroed_outside_the_window_is_detected_and_replays() {
+    // Only schedules where a member leaves the loop and zeroes the cursor
+    // while its peer still grabs take an index twice.
+    let make = || {
+        let close = BuggyRoundClose::new(2, CloseBug::CursorZeroedBeforeRendezvous);
+        FusedRounds::new("close-cursor-outside-window", close, 2, 3, 2)
+    };
+    let report = explore_exhaustive(make, &opts());
+    let v = report
+        .violation
+        .expect("checker failed to find the early cursor reset");
+    assert!(
+        v.message.contains("taken"),
+        "unexpected violation: {}",
+        v.message
+    );
+    let replayed = replay(make, &v.schedule);
+    let msg = replayed
+        .violation
+        .unwrap_or_else(|| panic!("schedule {:?} did not reproduce: {v}", v.schedule));
+    assert!(msg.contains("taken"), "replay diverged: {msg}");
 }

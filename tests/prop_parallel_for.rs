@@ -1,7 +1,8 @@
 //! Property tests for the execution substrate: every scheduling policy
 //! must execute every index exactly once, for any (length, team, chunk)
-//! configuration, and the lock-step convergence driver must behave like
-//! its sequential model.
+//! configuration (also when a round's close stands in for a loop's entry
+//! rendezvous), and the lock-step convergence driver must behave like its
+//! sequential model.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -75,7 +76,7 @@ proptest! {
         let executed = AtomicU32::new(0);
         let converged = AtomicUsize::new(usize::MAX);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(max_rounds, |round, flag| {
+            let c = ctx.converge_rounds(max_rounds, None, |round, flag| {
                 if round.get() <= change_for {
                     flag.set();
                 }
@@ -88,6 +89,48 @@ proptest! {
         prop_assert_eq!(executed.load(Ordering::Relaxed), expect_rounds);
         let expect_converged = usize::from(max_rounds > change_for && max_rounds > 0);
         prop_assert_eq!(converged.load(Ordering::Relaxed), expect_converged);
+    }
+
+    #[test]
+    fn nowait_loops_in_rounds_cover_exactly_once(
+        threads in 1usize..5,
+        schedule in arb_schedule(),
+        rounds in 1u32..6,
+        len in 0usize..60,
+    ) {
+        // Two nowait loops per round, then one after the call. A dynamic
+        // or guided loop right after a round's close (or the call's
+        // entry) trusts the cursor that window zeroed; the second loop of
+        // a round pays its own entry rendezvous. Loop lengths grow, so a
+        // cursor left stale would skip indices.
+        let loops = 2 * rounds as usize + 1;
+        let cap = len + loops;
+        let counts: Vec<AtomicU32> = (0..loops * cap).map(|_| AtomicU32::new(0)).collect();
+        let run_loop = |ctx: &pram_exec::WorkerCtx<'_>, k: usize| {
+            ctx.for_each_nowait(0..len + k, schedule, |i| {
+                counts[k * cap + i].fetch_add(1, Ordering::Relaxed);
+            });
+        };
+        let pool = ThreadPool::new(threads);
+        pool.run(|ctx| {
+            ctx.converge_rounds(rounds, None, |round, flag| {
+                let k = 2 * (round.get() as usize - 1);
+                run_loop(ctx, k);
+                run_loop(ctx, k + 1);
+                flag.set();
+            });
+            run_loop(ctx, loops - 1);
+        });
+        for k in 0..loops {
+            for i in 0..cap {
+                let want = u32::from(i < len + k);
+                prop_assert_eq!(
+                    counts[k * cap + i].load(Ordering::Relaxed),
+                    want,
+                    "loop {} index {} under {:?}", k, i, schedule
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ const R: u32 = 4;
 fn collect(label: &'static str, body: impl Fn(&WorkerCtx<'_>, Round) + Sync) -> RoundReport {
     let pool = ThreadPool::with_config(PoolConfig::new(T).telemetry(true));
     pool.run(|ctx| {
-        let c = ctx.converge_rounds(R + 4, |round, flag| {
+        let c = ctx.converge_rounds(R + 4, None, |round, flag| {
             ctx.annotate_round(label);
             body(ctx, round);
             if round.get() < R {

@@ -176,7 +176,7 @@ fn live_pool_report_round_trips_and_traces() {
     let pool = ThreadPool::with_config(PoolConfig::new(2).telemetry(true));
     let cells = pram_core::CasLtArray::new(4);
     pool.run(|ctx| {
-        ctx.converge_rounds(3, |round, flag| {
+        ctx.converge_rounds(3, None, |round, flag| {
             ctx.annotate_round("claim");
             for i in 0..4 {
                 cells.try_claim(i, round);
