@@ -46,7 +46,7 @@ pub fn max_index(values: &[u64], method: CwMethod, pool: &ThreadPool) -> usize {
 }
 
 /// The kernel against an explicit arbiter — the hook benches use to
-/// instrument arbitration (e.g. wrap in [`pram_core::CountingArbiter`]).
+/// swap in ablation arbiters outside the [`CwMethod`] dispatch.
 ///
 /// `arb` must span `values.len()` targets and be freshly armed.
 pub fn max_index_with_arbiter<A: SliceArbiter>(
@@ -102,6 +102,7 @@ pub fn max_index_with_arbiter<A: SliceArbiter>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pram_exec::PoolConfig;
     use pram_graph::serial::max_index_paper_tiebreak;
 
     fn pool() -> ThreadPool {
@@ -152,18 +153,18 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_arbiter_counts_claims() {
-        let pool = pool();
+    fn telemetry_counts_every_claim() {
+        let pool = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
         let n = 64usize;
         let values: Vec<u64> = (0..n as u64).collect();
-        let arb = pram_core::CountingArbiter::new(pram_core::CasLtArray::new(n));
-        let idx = max_index_with_arbiter(&values, &arb, &pool);
+        let idx = max_index(&values, CwMethod::CasLt, &pool);
         assert_eq!(idx, n - 1);
-        let snap = arb.stats().snapshot();
-        // Every ordered pair (minus the diagonal) attempts one claim...
-        assert_eq!(snap.attempts, (n * n - n) as u64);
-        // ...but only the n-1 losers are ever won.
-        assert_eq!(snap.wins, (n - 1) as u64);
+        let c = pool.telemetry().expect("telemetry pool").totals();
+        // Every ordered pair (minus the diagonal) resolves one claim...
+        assert_eq!(c.resolutions(), (n * n - n) as u64);
+        // ...but only the n-1 losers are ever won, one CAS each.
+        assert_eq!(c.wins, (n - 1) as u64);
+        assert_eq!(c.cas_attempts - c.cas_failures, c.wins);
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use pram_exec::{MethodKind, ThreadPool};
-
 /// Which concurrent-write implementation a kernel uses — the independent
 /// variable of every figure in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,54 +97,6 @@ impl CwMethod {
             CwMethod::Adaptive => "adaptive",
         }
     }
-
-    /// The method `pool` was configured to prefer
-    /// ([`pram_exec::PoolConfig::method`]), so one pool-level setting
-    /// selects arbitration for every kernel launched on it:
-    ///
-    /// ```
-    /// use pram_algos::{bfs, CwMethod};
-    /// use pram_exec::{MethodKind, PoolConfig, ThreadPool};
-    /// use pram_graph::{CsrGraph, GraphGen};
-    ///
-    /// let pool = ThreadPool::with_config(
-    ///     PoolConfig::new(2).telemetry(true).method(MethodKind::Adaptive),
-    /// );
-    /// let g = CsrGraph::from_edges(5, &GraphGen::path(5), true);
-    /// let r = bfs(&g, 0, CwMethod::for_pool(&pool), &pool);
-    /// assert_eq!(r.level, vec![0, 1, 2, 3, 4]);
-    /// ```
-    pub fn for_pool(pool: &ThreadPool) -> CwMethod {
-        pool.method_kind().into()
-    }
-}
-
-impl From<MethodKind> for CwMethod {
-    fn from(kind: MethodKind) -> CwMethod {
-        match kind {
-            MethodKind::Naive => CwMethod::Naive,
-            MethodKind::Gatekeeper => CwMethod::Gatekeeper,
-            MethodKind::GatekeeperSkip => CwMethod::GatekeeperSkip,
-            MethodKind::CasLt => CwMethod::CasLt,
-            MethodKind::CasLtPadded => CwMethod::CasLtPadded,
-            MethodKind::Lock => CwMethod::Lock,
-            MethodKind::Adaptive => CwMethod::Adaptive,
-        }
-    }
-}
-
-impl From<CwMethod> for MethodKind {
-    fn from(method: CwMethod) -> MethodKind {
-        match method {
-            CwMethod::Naive => MethodKind::Naive,
-            CwMethod::Gatekeeper => MethodKind::Gatekeeper,
-            CwMethod::GatekeeperSkip => MethodKind::GatekeeperSkip,
-            CwMethod::CasLt => MethodKind::CasLt,
-            CwMethod::CasLtPadded => MethodKind::CasLtPadded,
-            CwMethod::Lock => MethodKind::Lock,
-            CwMethod::Adaptive => MethodKind::Adaptive,
-        }
-    }
 }
 
 impl fmt::Display for CwMethod {
@@ -161,10 +111,12 @@ pub struct UnknownMethod(pub String);
 
 impl fmt::Display for UnknownMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = CwMethod::ALL.iter().map(|m| m.name()).collect();
         write!(
             f,
-            "unknown concurrent-write method '{}'; expected one of: naive, gatekeeper, gatekeeper-skip, caslt, caslt-padded, lock, adaptive",
-            self.0
+            "unknown concurrent-write method '{}'; expected one of: {}",
+            self.0,
+            names.join(", ")
         )
     }
 }
@@ -232,8 +184,11 @@ mod tests {
             assert_eq!(m.to_string(), m.name());
         }
         assert!("bogus".parse::<CwMethod>().is_err());
-        let err = "x".parse::<CwMethod>().unwrap_err();
-        assert!(err.to_string().contains("unknown"));
+        let err = "x".parse::<CwMethod>().unwrap_err().to_string();
+        assert!(err.contains("unknown"));
+        for m in CwMethod::ALL {
+            assert!(err.contains(m.name()), "{m} missing from {err:?}");
+        }
     }
 
     #[test]
@@ -259,24 +214,6 @@ mod tests {
             assert_ne!(m, CwMethod::Adaptive);
             assert!(CwMethod::ALL.contains(&m));
         }
-    }
-
-    #[test]
-    fn method_kind_roundtrips() {
-        for m in CwMethod::ALL {
-            let kind: MethodKind = m.into();
-            assert_eq!(CwMethod::from(kind), m);
-            assert_eq!(kind.name(), m.name());
-        }
-    }
-
-    #[test]
-    fn for_pool_reads_pool_config() {
-        use pram_exec::PoolConfig;
-        let pool = ThreadPool::with_config(PoolConfig::new(1).method(MethodKind::Gatekeeper));
-        assert_eq!(CwMethod::for_pool(&pool), CwMethod::Gatekeeper);
-        let default_pool = ThreadPool::new(1);
-        assert_eq!(CwMethod::for_pool(&default_pool), CwMethod::CasLt);
     }
 
     #[test]

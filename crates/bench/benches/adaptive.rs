@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use pram_algos::bfs::{bfs_with_strategy_rev, BfsStrategy};
 use pram_algos::{connected_components, CwMethod};
 use pram_bench::{ms, telemetry_columns, time_median};
-use pram_exec::{MethodKind, PoolConfig, ThreadPool};
+use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen};
 
 /// The single-winner static methods plus the adaptive delegator. Naive is
@@ -125,11 +125,7 @@ fn main() {
         let pool = ThreadPool::new(threads);
         // The telemetry twin: profiling for every method, and the live
         // configuration under which Adaptive actually re-chooses.
-        let telem_pool = ThreadPool::with_config(
-            PoolConfig::new(threads)
-                .telemetry(true)
-                .method(MethodKind::Adaptive),
-        );
+        let telem_pool = ThreadPool::with_config(PoolConfig::new(threads).telemetry(true));
 
         // (workload key, runner) pairs; each runner executes one timed rep
         // on the given pool with the given method.

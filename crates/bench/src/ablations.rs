@@ -6,9 +6,10 @@ use pram_algos::cc::cc_with_arbiter;
 use pram_algos::max::max_index_with_arbiter;
 use pram_algos::{bfs, CwMethod};
 use pram_core::{
-    AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CountingArbiter, GatekeeperArray, LockArray,
+    AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CwCounters, GatekeeperArray, LockArray,
     PaddedCasLtArray,
 };
+use pram_exec::{PoolConfig, ThreadPool};
 
 use crate::{make_graph, ms, pool, time_median, BenchConfig, FigureResult, ScaleProfile, Series};
 
@@ -226,54 +227,55 @@ pub fn ablate_width(cfg: &BenchConfig) -> FigureResult {
     )
 }
 
-/// A profiling report (not a timing): claim-level statistics of each
-/// kernel under CAS-LT, making the §6 mechanism measurable — attempts vs
-/// winning writes, i.e. how much work arbitration filters out.
+/// A profiling report (not a timing): claim-level counters of each
+/// kernel under CAS-LT, read from a telemetry pool, making the §6
+/// mechanism measurable — claims vs winning writes (how much work
+/// arbitration filters out), and how many of them the read-only fast path
+/// resolved without an atomic.
 pub fn claim_statistics(cfg: &BenchConfig) -> String {
     use std::fmt::Write;
-    let p = pool(cfg.threads);
-    let mut out = String::from("== claim statistics under CAS-LT (CountingArbiter) ==\n");
+    let p = ThreadPool::with_config(PoolConfig::new(cfg.threads).telemetry(true));
+    let telem = p.telemetry().expect("telemetry pool");
+    let mut out = String::from("== claim statistics under CAS-LT (telemetry counters) ==\n");
+    let mut report = |kernel: String, run: &dyn Fn(&ThreadPool)| {
+        let before = telem.totals();
+        run(&p);
+        let c = telem.totals().delta_since(&before);
+        let _ = writeln!(out, "{kernel}: {}", claim_summary(&c));
+    };
 
     let n = scale_n(cfg);
     let values = max_values(n);
-    let arb = CountingArbiter::new(CasLtArray::new(n));
-    max_index_with_arbiter(&values, &arb, &p);
-    let s = arb.stats().snapshot();
-    let _ = writeln!(
-        out,
-        "max (n = {n}): attempts = {}, wins = {} ({:.4}% of claims commit)",
-        s.attempts,
-        s.wins,
-        100.0 * s.wins as f64 / s.attempts.max(1) as f64
-    );
+    report(format!("max (n = {n})"), &|p| {
+        max_index_with_arbiter(&values, &CasLtArray::new(n), p);
+    });
 
     let (v, e) = match cfg.scale {
         ScaleProfile::Quick => (2_000, 8_000),
         _ => (10_000, 80_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let arb = CountingArbiter::new(CasLtArray::new(v));
-    bfs_with_arbiter(&g, 0, &arb, &p);
-    let s = arb.stats().snapshot();
-    let _ = writeln!(
-        out,
-        "bfs ({v} v, {e} e): attempts = {}, wins = {} (claim multiplicity {:.2})",
-        s.attempts,
-        s.wins,
-        s.attempts as f64 / s.wins.max(1) as f64
-    );
-
-    let arb = CountingArbiter::new(CasLtArray::new(v));
-    cc_with_arbiter(&g, &arb, &p);
-    let s = arb.stats().snapshot();
-    let _ = writeln!(
-        out,
-        "cc  ({v} v, {e} e): attempts = {}, wins = {} (claim multiplicity {:.2})",
-        s.attempts,
-        s.wins,
-        s.attempts as f64 / s.wins.max(1) as f64
-    );
+    report(format!("bfs ({v} v, {e} e)"), &|p| {
+        bfs_with_arbiter(&g, 0, &CasLtArray::new(v), p);
+    });
+    report(format!("cc  ({v} v, {e} e)"), &|p| {
+        cc_with_arbiter(&g, &CasLtArray::new(v), p);
+    });
     out
+}
+
+/// Attempts, wins, claim multiplicity, fast-path hit rate and atomics
+/// per resolution of one kernel's claim counters.
+fn claim_summary(c: &CwCounters) -> String {
+    let attempts = c.resolutions();
+    format!(
+        "attempts = {attempts}, wins = {} (claim multiplicity {:.2}, fast path {:.2}%, \
+         atomics/resolution {:.4})",
+        c.wins,
+        attempts as f64 / c.wins.max(1) as f64,
+        100.0 * c.fast_path_hit_rate(),
+        (c.cas_attempts + c.gatekeeper_rmws) as f64 / attempts.max(1) as f64
+    )
 }
 
 /// All ablations in order.
@@ -319,5 +321,7 @@ mod tests {
         assert!(report.contains("max (n = 800)"));
         assert!(report.contains("bfs"));
         assert!(report.contains("cc "));
+        // Max resolves one claim per ordered pair and wins once per loser.
+        assert!(report.contains(&format!("attempts = {}, wins = 799 ", 800 * 799)));
     }
 }

@@ -89,7 +89,6 @@ pub mod ordering;
 pub mod payload;
 pub mod priority;
 pub mod round;
-pub mod stats;
 pub mod sync;
 pub mod telemetry;
 pub mod traits;
@@ -105,8 +104,8 @@ pub use naive::{NaiveArbiter, NaiveCell};
 pub use payload::{ConCell, ConVec};
 pub use priority::{PriorityArray, PriorityCell};
 pub use round::{Round, RoundCounter, RoundOverflow};
-pub use stats::{CountingArbiter, CwStats, CwStatsSnapshot, ExecStats, ExecWorkerSnapshot};
 pub use telemetry::{
-    CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot, ShardGuard, TelemetryShard,
+    CwCounters, CwTelemetry, ExecCounters, ExecStats, RoundReport, RoundSnapshot, ShardGuard,
+    TelemetryShard,
 };
 pub use traits::{try_claim_all, Arbiter, SliceArbiter};

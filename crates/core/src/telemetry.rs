@@ -4,9 +4,8 @@
 //! The paper's performance argument is mechanistic — CAS-LT wins because
 //! most competitors take a contention-free read-only fast path and skip
 //! both the atomic and the write, while the gatekeeper funnels *every*
-//! claim through an RMW. [`crate::stats`] made that observable for
-//! explicitly instrumented call sites; this module makes it observable for
-//! the real kernels, per round, with zero cost when disabled:
+//! claim through an RMW. This module makes that observable for the real
+//! kernels, per round, with zero cost when disabled:
 //!
 //! * **Recording** ([`CwTelemetry`] / [`TelemetryShard`] / [`ShardGuard`]):
 //!   one cache-padded shard of counters per worker. A worker installs its
@@ -20,10 +19,11 @@
 //! * **Snapshots** ([`RoundSnapshot`] / [`RoundReport`]): the execution
 //!   substrate collects per-round counter deltas at barrier boundaries
 //!   (where the team is quiescent, so deltas are exact) and merges them
-//!   with the substrate's own [`crate::ExecStats`] counters.
+//!   with the substrate's own [`ExecStats`] counters (barrier waits,
+//!   loop-chunk grabs and steals, recorded whatever the feature setting).
 //! * **Exporters**: [`RoundReport::metrics_json`] (a stable-schema JSON
-//!   dump with derived rates, consumed by the bench tier and parseable
-//!   back via [`RoundReport::from_metrics_json`]) and
+//!   dump with derived rates, consumed by the bench tier and pinned by a
+//!   golden file) and
 //!   [`RoundReport::chrome_trace`] (a `chrome://tracing` /
 //!   [Perfetto](https://ui.perfetto.dev) span export of epochs, rounds,
 //!   and barrier waits). Both serialize only timestamps recorded earlier
@@ -38,11 +38,13 @@
 //! available so downstream code compiles identically either way.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::stats::ExecWorkerSnapshot;
+use crossbeam_utils::CachePadded;
 
 // ---------------------------------------------------------------------------
-// Counter value types (always compiled; plain data, no atomics)
+// Counter types (always compiled): plain values, and the exec recorder,
+// which the substrate runs whatever the feature setting
 // ---------------------------------------------------------------------------
 
 /// Concurrent-write claim counters, as plain values.
@@ -163,8 +165,9 @@ impl fmt::Display for CwCounters {
 }
 
 /// Execution-substrate counters, as plain values (the value-type face of
-/// [`crate::ExecStats`]): barrier traffic and loop-scheduling
-/// grab/steal traffic, summed over the team or accrued over one round.
+/// [`ExecStats`]): barrier traffic and loop-scheduling grab/steal
+/// traffic, for one worker, summed over the team, or accrued over one
+/// round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecCounters {
     /// Barrier rendezvous completed.
@@ -213,14 +216,108 @@ impl ExecCounters {
     }
 }
 
-impl From<ExecWorkerSnapshot> for ExecCounters {
-    fn from(s: ExecWorkerSnapshot) -> ExecCounters {
+/// Per-worker execution-substrate counters: barrier waits and
+/// loop-scheduling grab/steal traffic.
+///
+/// Where [`CwCounters`] attributes *arbitration* cost (fast path vs RMW),
+/// `ExecStats` attributes *runtime* cost: how often each worker hit a
+/// barrier, how long it waited there, and how its loop iterations were
+/// acquired (owned grabs vs steals). The scaling benches use it to split
+/// wall time into synchronization vs work — the difference between a
+/// barrier-bound regime (high-diameter graphs: thousands of rounds, tiny
+/// frontiers) and a work-bound one (skewed graphs: few rounds, heavy
+/// frontiers).
+///
+/// Every counter is a `Relaxed` atomic on its own cache line, and each
+/// worker only increments its own slot, so collection never serializes the
+/// threads it observes. The substrate keeps recording behind an
+/// `Option` — when stats are disabled, the hot paths pay one predictable
+/// branch and no atomic traffic.
+#[derive(Debug)]
+pub struct ExecStats {
+    workers: Box<[CachePadded<WorkerSlots>]>,
+}
+
+#[derive(Debug, Default)]
+struct WorkerSlots {
+    barrier_waits: AtomicU64,
+    barrier_wait_ns: AtomicU64,
+    grabs: AtomicU64,
+    steal_attempts: AtomicU64,
+    steals: AtomicU64,
+}
+
+impl ExecStats {
+    /// Zeroed counters for a team of `threads` workers.
+    pub fn new(threads: usize) -> ExecStats {
+        let mut v = Vec::with_capacity(threads);
+        v.resize_with(threads, || CachePadded::new(WorkerSlots::default()));
+        ExecStats {
+            workers: v.into_boxed_slice(),
+        }
+    }
+
+    /// Team size the counters were built for.
+    pub fn threads(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Record one barrier rendezvous by worker `tid`, including the time
+    /// it spent waiting (nanoseconds).
+    #[inline]
+    pub fn record_barrier_wait(&self, tid: usize, wait_ns: u64) {
+        let w = &self.workers[tid];
+        w.barrier_waits.fetch_add(1, Ordering::Relaxed);
+        w.barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
+    }
+
+    /// Record one loop-chunk acquisition by worker `tid` from its own
+    /// share (a shared-cursor grab or an owned-deque pop).
+    #[inline]
+    pub fn record_grab(&self, tid: usize) {
+        self.workers[tid].grabs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one steal attempt by worker `tid` (its own share was empty);
+    /// `hit` is whether a victim chunk was actually taken.
+    #[inline]
+    pub fn record_steal(&self, tid: usize, hit: bool) {
+        let w = &self.workers[tid];
+        w.steal_attempts.fetch_add(1, Ordering::Relaxed);
+        if hit {
+            w.steals.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A consistent-enough copy of one worker's counters.
+    pub fn worker_snapshot(&self, tid: usize) -> ExecCounters {
+        let w = &self.workers[tid];
         ExecCounters {
-            barrier_waits: s.barrier_waits,
-            barrier_wait_ns: s.barrier_wait_ns,
-            grabs: s.grabs,
-            steal_attempts: s.steal_attempts,
-            steals: s.steals,
+            barrier_waits: w.barrier_waits.load(Ordering::Relaxed),
+            barrier_wait_ns: w.barrier_wait_ns.load(Ordering::Relaxed),
+            grabs: w.grabs.load(Ordering::Relaxed),
+            steal_attempts: w.steal_attempts.load(Ordering::Relaxed),
+            steals: w.steals.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Sum of all workers' counters.
+    pub fn total_snapshot(&self) -> ExecCounters {
+        let mut total = ExecCounters::default();
+        for tid in 0..self.threads() {
+            total.add(&self.worker_snapshot(tid));
+        }
+        total
+    }
+
+    /// Zero all counters (quiescent periods only).
+    pub fn reset(&self) {
+        for w in self.workers.iter() {
+            w.barrier_waits.store(0, Ordering::Relaxed);
+            w.barrier_wait_ns.store(0, Ordering::Relaxed);
+            w.grabs.store(0, Ordering::Relaxed);
+            w.steal_attempts.store(0, Ordering::Relaxed);
+            w.steals.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -310,8 +407,8 @@ impl RoundReport {
     ///
     /// Field ordering is fixed; counters are exact integers; the derived
     /// rates (`fast_path_hit_rate`, `cas_retry_rate`, `steal_ratio`) are
-    /// redundant conveniences recomputed on parse. The output parses back
-    /// to an equal report via [`RoundReport::from_metrics_json`].
+    /// redundant conveniences. Output is a pure function of the report
+    /// (`tests/golden/metrics.json` pins it byte for byte).
     pub fn metrics_json(&self) -> String {
         let rounds: Vec<String> = self
             .rounds
@@ -343,48 +440,6 @@ impl RoundReport {
             self.totals_exec.steal_ratio(),
             rounds.join(",\n    ")
         )
-    }
-
-    /// Parse a [`RoundReport::metrics_json`] dump back into a report.
-    ///
-    /// Tolerates unknown extra fields; rejects a missing/mismatched
-    /// `schema` tag and malformed JSON.
-    pub fn from_metrics_json(s: &str) -> Result<RoundReport, String> {
-        let root = mini_json::parse(s)?;
-        let obj = root.as_obj("root")?;
-        let schema = mini_json::field(obj, "schema")?.as_str("schema")?;
-        if schema != METRICS_SCHEMA {
-            return Err(format!(
-                "unsupported telemetry schema {schema:?} (expected {METRICS_SCHEMA:?})"
-            ));
-        }
-        let threads = mini_json::field(obj, "threads")?.as_u64("threads")? as usize;
-        let totals = mini_json::field(obj, "totals")?.as_obj("totals")?;
-        let totals_cw = parse_cw(mini_json::field(totals, "cw")?)?;
-        let totals_exec = parse_exec(mini_json::field(totals, "exec")?)?;
-        let mut rounds = Vec::new();
-        for (i, r) in mini_json::field(obj, "rounds")?
-            .as_arr("rounds")?
-            .iter()
-            .enumerate()
-        {
-            let ro = r.as_obj(&format!("rounds[{i}]"))?;
-            rounds.push(RoundSnapshot {
-                epoch: mini_json::field(ro, "epoch")?.as_u64("epoch")? as u32,
-                round: mini_json::field(ro, "round")?.as_u64("round")? as u32,
-                label: mini_json::field(ro, "label")?.as_str("label")?.to_string(),
-                start_ns: mini_json::field(ro, "start_ns")?.as_u64("start_ns")?,
-                wall_ns: mini_json::field(ro, "wall_ns")?.as_u64("wall_ns")?,
-                cw: parse_cw(mini_json::field(ro, "cw")?)?,
-                exec: parse_exec(mini_json::field(ro, "exec")?)?,
-            });
-        }
-        Ok(RoundReport {
-            threads,
-            rounds,
-            totals_cw,
-            totals_exec,
-        })
     }
 
     /// Export as `chrome://tracing` "Trace Event Format" JSON (load in
@@ -458,287 +513,6 @@ impl RoundReport {
             "{{\"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n  {}\n ]}}\n",
             events.join(",\n  ")
         )
-    }
-}
-
-fn parse_cw(v: &mini_json::Value) -> Result<CwCounters, String> {
-    let o = v.as_obj("cw")?;
-    Ok(CwCounters {
-        fast_path_skips: mini_json::field(o, "fast_path_skips")?.as_u64("fast_path_skips")?,
-        cas_attempts: mini_json::field(o, "cas_attempts")?.as_u64("cas_attempts")?,
-        cas_failures: mini_json::field(o, "cas_failures")?.as_u64("cas_failures")?,
-        wins: mini_json::field(o, "wins")?.as_u64("wins")?,
-        gatekeeper_rmws: mini_json::field(o, "gatekeeper_rmws")?.as_u64("gatekeeper_rmws")?,
-        lock_acquisitions: mini_json::field(o, "lock_acquisitions")?.as_u64("lock_acquisitions")?,
-        rearm_resets: mini_json::field(o, "rearm_resets")?.as_u64("rearm_resets")?,
-    })
-}
-
-fn parse_exec(v: &mini_json::Value) -> Result<ExecCounters, String> {
-    let o = v.as_obj("exec")?;
-    Ok(ExecCounters {
-        barrier_waits: mini_json::field(o, "barrier_waits")?.as_u64("barrier_waits")?,
-        barrier_wait_ns: mini_json::field(o, "barrier_wait_ns")?.as_u64("barrier_wait_ns")?,
-        grabs: mini_json::field(o, "grabs")?.as_u64("grabs")?,
-        steal_attempts: mini_json::field(o, "steal_attempts")?.as_u64("steal_attempts")?,
-        steals: mini_json::field(o, "steals")?.as_u64("steals")?,
-    })
-}
-
-/// A dependency-free JSON reader, just large enough for the telemetry
-/// round-trip (the workspace vendors no serde).
-mod mini_json {
-    /// A parsed JSON value. Integers without fraction/exponent/sign are
-    /// kept exact as `UInt`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// Exact non-negative integer.
-        UInt(u64),
-        /// Any other number.
-        Float(f64),
-        /// String (escapes decoded).
-        Str(String),
-        /// Boolean.
-        Bool(bool),
-        /// null.
-        Null,
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_obj(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Obj(o) => Ok(o),
-                other => Err(format!("{what}: expected object, got {other:?}")),
-            }
-        }
-        pub fn as_arr(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("{what}: expected string, got {other:?}")),
-            }
-        }
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::UInt(n) => Ok(*n),
-                other => Err(format!("{what}: expected unsigned integer, got {other:?}")),
-            }
-        }
-    }
-
-    /// Look up `key` in an object.
-    pub fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    /// Parse a complete JSON document.
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, got {:?}",
-                    c as char, self.i, self.b[self.i] as char
-                ))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                b'-' | b'0'..=b'9' => self.number(),
-                c => Err(format!("unexpected {:?} at byte {}", c as char, self.i)),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            self.ws();
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("expected {word:?} at byte {}", self.i))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.i += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b'}' => {
-                        self.i += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    c => return Err(format!("expected ',' or '}}', got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.i += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b']' => {
-                        self.i += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    c => return Err(format!("expected ',' or ']', got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self
-                            .b
-                            .get(self.i)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                self.i += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| format!("bad \\u{code:04x}"))?,
-                                );
-                            }
-                            c => return Err(format!("unsupported escape \\{}", c as char)),
-                        }
-                    }
-                    c => {
-                        // Re-assemble multi-byte UTF-8 sequences verbatim.
-                        let start = self.i - 1;
-                        let len = if c < 0x80 {
-                            1
-                        } else if c >= 0xF0 {
-                            4
-                        } else if c >= 0xE0 {
-                            3
-                        } else {
-                            2
-                        };
-                        self.i = start + len;
-                        let chunk = self
-                            .b
-                            .get(start..self.i)
-                            .ok_or_else(|| "truncated UTF-8".to_string())?;
-                        out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            self.ws();
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            while self.b.get(self.i).is_some_and(|c| {
-                c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-            }) {
-                self.i += 1;
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
-            }
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
-        }
     }
 }
 
@@ -1151,35 +925,28 @@ mod tests {
     }
 
     #[test]
-    fn exec_counters_from_snapshot() {
-        let s = ExecWorkerSnapshot {
-            barrier_waits: 1,
-            barrier_wait_ns: 2,
-            grabs: 3,
-            steal_attempts: 4,
-            steals: 5,
-        };
-        let e = ExecCounters::from(s);
-        assert_eq!(e.barrier_waits, 1);
-        assert_eq!(e.steals, 5);
-    }
-
-    #[test]
-    fn metrics_json_round_trips() {
-        let report = sample_report();
-        let json = report.metrics_json();
-        let back = RoundReport::from_metrics_json(&json).expect("round trip");
-        assert_eq!(back, report);
-        // Serialization is a pure function of the report.
-        assert_eq!(back.metrics_json(), json);
-    }
-
-    #[test]
-    fn metrics_json_rejects_bad_input() {
-        assert!(RoundReport::from_metrics_json("").is_err());
-        assert!(RoundReport::from_metrics_json("{\"schema\": \"other\"}").is_err());
-        assert!(RoundReport::from_metrics_json("{\"threads\": 1}").is_err());
-        assert!(RoundReport::from_metrics_json("[1, 2").is_err());
+    fn exec_stats_per_worker_and_totals() {
+        let s = ExecStats::new(2);
+        assert_eq!(s.threads(), 2);
+        s.record_barrier_wait(0, 1_000);
+        s.record_barrier_wait(0, 500);
+        s.record_grab(0);
+        s.record_steal(1, false);
+        s.record_steal(1, true);
+        let w0 = s.worker_snapshot(0);
+        assert_eq!(w0.barrier_waits, 2);
+        assert_eq!(w0.barrier_wait_ns, 1_500);
+        assert_eq!(w0.grabs, 1);
+        let w1 = s.worker_snapshot(1);
+        assert_eq!(w1.steal_attempts, 2);
+        assert_eq!(w1.steals, 1);
+        let total = s.total_snapshot();
+        assert_eq!(total.barrier_waits, 2);
+        assert_eq!(total.grabs, 1);
+        assert_eq!(total.steals, 1);
+        assert!((total.steal_ratio() - 0.5).abs() < 1e-9);
+        s.reset();
+        assert_eq!(s.total_snapshot(), ExecCounters::default());
     }
 
     #[test]

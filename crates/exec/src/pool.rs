@@ -33,7 +33,7 @@ use pram_core::{
 };
 
 use crate::barrier::TeamBarrier;
-use crate::config::{MethodKind, PoolConfig};
+use crate::config::PoolConfig;
 use crate::frontier::FrontierBuffer;
 use crate::schedule::{guided_grab, static_block, static_chunks, Schedule, ScheduleKind};
 use crate::steal::StealQueues;
@@ -85,8 +85,8 @@ struct PoolShared {
     /// Pool-wide preference for irregular loops
     /// (`WorkerCtx::irregular_schedule`).
     irregular: ScheduleKind,
-    /// Per-worker execution counters, when `PoolConfig::collect_stats`
-    /// (or `PoolConfig::telemetry`, which folds them into round reports).
+    /// Per-worker execution counters, when `PoolConfig::telemetry`
+    /// (folded into round reports).
     stats: Option<ExecStats>,
     /// Sharded concurrent-write counters, when `PoolConfig::telemetry`.
     /// Each team member routes its claim telemetry into shard
@@ -105,9 +105,6 @@ struct PoolShared {
     /// closing-window snapshot, exposing the decision trace through
     /// [`RoundReport`] with no schema change.
     switch_note: Mutex<Option<String>>,
-    /// The pool's preferred concurrent-write method
-    /// ([`PoolConfig::method`]), advisory metadata for kernels.
-    method: MethodKind,
     /// Monotone id handed to each `converge_rounds` invocation, grouping
     /// its rounds in the report ("epoch" = one kernel run).
     epoch: AtomicU32,
@@ -185,13 +182,11 @@ impl ThreadPool {
             cursor: CachePadded::new(AtomicUsize::new(0)),
             steal: StealQueues::new(config.threads),
             irregular: config.irregular,
-            stats: (config.collect_stats || config.telemetry)
-                .then(|| ExecStats::new(config.threads)),
+            stats: config.telemetry.then(|| ExecStats::new(config.threads)),
             telem: config.telemetry.then(|| CwTelemetry::new(config.threads)),
             round_log: Mutex::new(Vec::new()),
             round_label: Mutex::new(None),
             switch_note: Mutex::new(None),
-            method: config.method,
             epoch: AtomicU32::new(0),
             round_open: Mutex::new(RoundOpen::default()),
             t0: std::time::Instant::now(),
@@ -233,7 +228,7 @@ impl ThreadPool {
     }
 
     /// Per-worker execution statistics (barrier waits, grab/steal counts),
-    /// if enabled via [`PoolConfig::collect_stats`]. Counters accumulate
+    /// if enabled via [`PoolConfig::telemetry`]. Counters accumulate
     /// across regions; call [`ExecStats::reset`] between measurements.
     pub fn stats(&self) -> Option<&ExecStats> {
         self.shared.stats.as_ref()
@@ -243,13 +238,6 @@ impl ThreadPool {
     /// [`PoolConfig::telemetry`]. Counters accumulate across regions.
     pub fn telemetry(&self) -> Option<&CwTelemetry> {
         self.shared.telem.as_ref()
-    }
-
-    /// The pool's preferred concurrent-write method
-    /// ([`PoolConfig::method`]). Kernels typically read this through
-    /// `pram_algos::CwMethod::for_pool`.
-    pub fn method_kind(&self) -> MethodKind {
-        self.shared.method
     }
 
     /// Drain the per-round snapshots recorded by
@@ -275,7 +263,7 @@ impl ThreadPool {
                 .shared
                 .stats
                 .as_ref()
-                .map(|st| ExecCounters::from(st.total_snapshot()))
+                .map(ExecStats::total_snapshot)
                 .unwrap_or_default(),
         }
     }
@@ -457,7 +445,7 @@ impl WorkerCtx<'_> {
     }
 
     /// Per-worker execution statistics, if enabled via
-    /// [`PoolConfig::collect_stats`].
+    /// [`PoolConfig::telemetry`].
     #[inline]
     pub fn stats(&self) -> Option<&ExecStats> {
         self.shared.stats.as_ref()
@@ -901,7 +889,7 @@ impl WorkerCtx<'_> {
         self.shared
             .stats
             .as_ref()
-            .map(|st| ExecCounters::from(st.total_snapshot()))
+            .map(ExecStats::total_snapshot)
             .unwrap_or_default()
     }
 }
@@ -994,7 +982,7 @@ mod tests {
         let pool = ThreadPool::with_config(
             PoolConfig::new(4)
                 .irregular(ScheduleKind::Stealing)
-                .collect_stats(true),
+                .telemetry(true),
         );
         let len = 4096;
         let counts: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
@@ -1040,7 +1028,7 @@ mod tests {
         let pool = ThreadPool::with_config(
             PoolConfig::new(4)
                 .barrier(BarrierKind::Dissemination)
-                .collect_stats(true),
+                .telemetry(true),
         );
         let sum = AtomicU64::new(0);
         pool.run(|ctx| {
@@ -1129,7 +1117,7 @@ mod tests {
     fn telemetry_round_report_records_rounds() {
         use pram_core::CasLtArray;
         let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
-        assert!(pool.stats().is_some(), "telemetry implies exec stats");
+        assert!(pool.stats().is_some(), "telemetry collects exec stats");
         let cells = CasLtArray::new(4);
         pool.run(|ctx| {
             let c = ctx.converge_rounds(10, None, |round, flag| {
@@ -1423,7 +1411,7 @@ mod tests {
         // round costs one barrier episode and a call one more.
         use crate::frontier::{FrontierBuffer, LocalBuffer};
         let threads = 3;
-        let pool = ThreadPool::with_config(PoolConfig::new(threads).collect_stats(true));
+        let pool = ThreadPool::with_config(PoolConfig::new(threads).telemetry(true));
         let queues = [
             FrontierBuffer::with_capacity(64),
             FrontierBuffer::with_capacity(64),

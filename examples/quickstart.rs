@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crcw_pram::prelude::*;
-use pram_core::CountingArbiter;
+use pram_exec::PoolConfig;
 
 fn main() {
     // ------------------------------------------------------------------
@@ -73,34 +73,33 @@ fn main() {
     // 4. Why CAS-LT wins: count the atomics.
     // ------------------------------------------------------------------
     println!("\n== 4. Claim statistics ==");
-    // Scheme-agnostic counts for the whole kernel:
-    let arb = CountingArbiter::new(CasLtArray::new(n));
-    pram_algos::max::max_index_with_arbiter(&values, &arb, &pool);
-    let s = arb.stats().snapshot();
+    // A telemetry pool counts every claim its members resolve.
+    let pool = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
+    let telem = pool.telemetry().expect("telemetry pool");
+    pram_algos::max_index(&values, CwMethod::CasLt, &pool);
+    let s = telem.totals();
     println!(
         "   kernel: {} claim attempts, {} winning writes \
          (the gatekeeper method\n   issues one atomic RMW for *every* attempt)",
-        s.attempts, s.wins
+        s.resolutions(),
+        s.wins
     );
-    // Per-path counts via the instrumented CAS-LT cell: hammer one cell.
-    let cell = pram_core::CasLtCell::new();
-    let stats = pram_core::CwStats::new();
-    let round = Round::FIRST;
-    std::thread::scope(|sc| {
-        for _ in 0..4 {
-            sc.spawn(|| {
-                for _ in 0..250_000 {
-                    cell.try_claim_instrumented(round, &stats);
-                }
-            });
+    // Per-path counts: the whole team hammers one cell.
+    let cell = CasLtCell::new();
+    let before = telem.totals();
+    pool.run(|ctx| {
+        let claims = 1_000_000 / ctx.num_threads();
+        for _ in 0..claims {
+            cell.try_claim(Round::FIRST);
         }
     });
-    let s = stats.snapshot();
+    let s = telem.totals().delta_since(&before);
     println!("   one contended cell, 1M claims: {s}");
     println!(
-        "   -> CAS-LT issued {} atomic RMW(s) in total; {:.3}% of claims\n   \
-         were resolved by the contention-free fast-path load.",
-        s.rmw_issued,
-        s.fast_path_ratio() * 100.0
+        "   -> CAS-LT issued {} atomic RMW(s) in total ({:.6} per claim); {:.3}% of\n   \
+         claims were resolved by the contention-free fast-path load.",
+        s.cas_attempts,
+        s.cas_attempts as f64 / s.resolutions() as f64,
+        s.fast_path_hit_rate() * 100.0
     );
 }

@@ -208,7 +208,7 @@ fn pool_panic_poisons_dissemination_team() {
 /// Barrier episodes a pool has run (every member records one wait per
 /// episode).
 fn episodes(pool: &ThreadPool) -> u64 {
-    let st = pool.stats().expect("stats enabled");
+    let st = pool.stats().expect("telemetry pool");
     st.total_snapshot().barrier_waits / pool.num_threads() as u64
 }
 
@@ -219,7 +219,7 @@ fn top_down_bfs_pays_one_episode_per_level() {
     // adds the rendezvous before its reset pass.
     let g = CsrGraph::from_edges(512, &GraphGen::path(512), true);
     for (method, per_level) in [(CwMethod::CasLt, 1), (CwMethod::Gatekeeper, 2)] {
-        let pool = ThreadPool::with_config(PoolConfig::new(2).collect_stats(true));
+        let pool = ThreadPool::with_config(PoolConfig::new(2).telemetry(true));
         let r = bfs_with_strategy(&g, 0, method, BfsStrategy::TopDown, &pool);
         assert_eq!(r.rounds, 512);
         let levels = u64::from(r.rounds);
@@ -265,7 +265,7 @@ fn awerbuch_shiloach_pays_twelve_episodes_per_iteration() {
     // plus one entry rendezvous per call.
     let edges = GraphGen::new(3).gnm(300, 600);
     let g = CsrGraph::from_edges(300, &edges, true);
-    let pool = ThreadPool::with_config(PoolConfig::new(2).collect_stats(true));
+    let pool = ThreadPool::with_config(PoolConfig::new(2).telemetry(true));
     let r = connected_components(&g, CwMethod::CasLt, &pool);
     assert!(r.iterations >= 2, "{} iterations", r.iterations);
     let got = episodes(&pool);

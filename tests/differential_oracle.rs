@@ -33,7 +33,7 @@ use pram_algos::{
     bfs, connected_components, connected_components_worklist, exclusive_scan, inclusive_scan,
     list_rank, logical_or, max_index, CwMethod,
 };
-use pram_exec::{MethodKind, PoolConfig, ThreadPool};
+use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{serial, CsrGraph, GraphGen};
 use pram_sim::{programs, WriteRule};
 
@@ -49,11 +49,7 @@ fn pools() -> Vec<ThreadPool> {
     let mut pools = vec![
         ThreadPool::new(1),
         ThreadPool::new(4),
-        ThreadPool::with_config(
-            PoolConfig::new(3)
-                .telemetry(true)
-                .method(MethodKind::Adaptive),
-        ),
+        ThreadPool::with_config(PoolConfig::new(3).telemetry(true)),
     ];
     if full_corpus() {
         pools.push(ThreadPool::new(8));
@@ -325,16 +321,12 @@ fn oracle_adaptive_pool_reports_decisions_consistently() {
     // oracle above proves outputs stay correct — here we additionally pin
     // that the pool surfaced the rounds it ran (the trace channel works
     // end to end) on a workload dense enough to produce telemetry.
-    let pool = ThreadPool::with_config(
-        PoolConfig::new(4)
-            .telemetry(true)
-            .method(MethodKind::Adaptive),
-    );
+    let pool = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
     let n = 200;
     let edges = GraphGen::new(42).gnm(n, 2000);
     let g = CsrGraph::from_edges(n, &edges, true);
     let reference = serial::bfs_levels(&g, 0);
-    let r = bfs(&g, 0, CwMethod::for_pool(&pool), &pool);
+    let r = bfs(&g, 0, CwMethod::Adaptive, &pool);
     assert_eq!(r.level, reference);
     let report = pool.take_round_report();
     assert!(!report.rounds.is_empty(), "no rounds snapshotted");
