@@ -24,17 +24,28 @@
 //! could be read mid-pass as if it were a root, directing a *second* hook
 //! at a non-root cell and splitting a component. We restore the PRAM
 //! read/write separation by snapshotting `D` before each hooking pass
-//! (`D_snap`) and hooking from the snapshot — an O(n) pass per phase,
-//! identical across methods, that stands in for the lock-step semantics
-//! OpenMP's fork-join also only approximates. DESIGN.md discusses the
-//! substitution.
+//! (`D_snap`) and hooking from the snapshot, identically across methods.
+//! No star pass writes `D`, so the snapshot rides the third star pass,
+//! which already loads every `D[v]` — no pass or barrier of its own.
+//! DESIGN.md §2 lists this among the substitutions for the paper's
+//! OpenMP kernels.
+//!
+//! ## Hooking from the CSR
+//!
+//! The hooking pass walks `offsets`/`targets` directly: each team member
+//! takes an edge-balanced static block of the directed edges (a hub's
+//! adjacency may be split across members) and walks it source by source,
+//! testing `star[u]` and loading `D_snap[u]` once per source and skipping
+//! a non-star source's whole adjacency. The winning hook records its CSR
+//! target index as the hook edge.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
 use pram_core::{Round, SliceArbiter};
-use pram_exec::{FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx};
+use pram_exec::{Schedule, ThreadPool, WorkerCtx};
 use pram_graph::CsrGraph;
 
+use crate::csr_walk::source_runs;
 use crate::method::{dispatch_method, CwMethod};
 
 /// Sentinel for "this root was never hooked".
@@ -87,8 +98,7 @@ pub fn connected_components(g: &CsrGraph, method: CwMethod, pool: &ThreadPool) -
 pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool) -> CcResult {
     let n = g.num_vertices();
     assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let m = edges.len();
+    let (offsets, targets) = (g.offsets(), g.targets());
 
     let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
     let d_snap: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -106,7 +116,9 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
         let sched = Schedule::default();
 
         // Star detection: JaJa's three-pass formulation; passes 2 and 3 use
-        // common concurrent writes / race-benign in-place propagation.
+        // common concurrent writes / race-benign in-place propagation. The
+        // third pass also takes the `D` snapshot the hook reads: no star
+        // pass writes `D`, so its loads here are the pre-hook values.
         let star_pass = |ctx: &WorkerCtx<'_>| {
             ctx.for_each(0..n, sched, |v| star[v].store(1, Ordering::Relaxed));
             ctx.for_each(0..n, sched, |v| {
@@ -119,18 +131,12 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 }
             });
             ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
+                let dv = d[v].load(Ordering::Relaxed);
+                let ddv = d[dv as usize].load(Ordering::Relaxed) as usize;
                 // In-place is race-benign: any cell both read and written
                 // in this pass provably keeps its value (module docs).
                 star[v].store(star[ddv].load(Ordering::Relaxed), Ordering::Relaxed);
-            });
-        };
-
-        // Snapshot D — the explicit reads-before-writes separation.
-        let snapshot = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| {
-                d_snap[v].store(d[v].load(Ordering::Relaxed), Ordering::Relaxed)
+                d_snap[v].store(dv, Ordering::Relaxed);
             });
         };
 
@@ -146,22 +152,23 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             for (phase, &round) in hook_rounds.iter().enumerate() {
                 let conditional = phase == 0;
                 star_pass(ctx);
-                snapshot(ctx);
-                ctx.for_each(0..m, sched, |e| {
-                    let (u, v) = edges[e];
-                    if star[u as usize].load(Ordering::Relaxed) == 0 {
-                        return;
+                for (u, run) in source_runs(offsets, ctx.num_threads(), ctx.thread_id()) {
+                    if star[u].load(Ordering::Relaxed) == 0 {
+                        continue;
                     }
-                    let du = d_snap[u as usize].load(Ordering::Relaxed);
-                    let dv = d_snap[v as usize].load(Ordering::Relaxed);
-                    let should = if conditional { dv < du } else { dv != du };
-                    if should && arb.try_claim(du as usize, round) {
-                        // The guarded two-array arbitrary write.
-                        d[du as usize].store(dv, Ordering::Relaxed);
-                        hook_edge[du as usize].store(e, Ordering::Relaxed);
-                        flag.set();
+                    let du = d_snap[u].load(Ordering::Relaxed);
+                    for e in run {
+                        let dv = d_snap[targets[e] as usize].load(Ordering::Relaxed);
+                        let should = if conditional { dv < du } else { dv != du };
+                        if should && arb.try_claim(du as usize, round) {
+                            // The guarded two-array arbitrary write.
+                            d[du as usize].store(dv, Ordering::Relaxed);
+                            hook_edge[du as usize].store(e, Ordering::Relaxed);
+                            flag.set();
+                        }
                     }
-                });
+                }
+                ctx.barrier();
                 if !arb.rearms_on_new_round() {
                     // Gatekeeper methods: re-zero before the next CW round.
                     ctx.for_each(0..n, sched, |v| arb.reset_range(v..v + 1));
@@ -193,174 +200,11 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     }
 }
 
-/// Awerbuch–Shiloach with an **active-edge worklist**: like
-/// [`connected_components`], but each iteration ends by compacting the edge
-/// list, permanently dropping every edge whose endpoints already share a
-/// parent (`D[u] == D[v]`).
-///
-/// The drop is safe because trees only ever merge: once two endpoints are
-/// in the same tree they remain in the same component forever, so the edge
-/// can never again hook two *distinct* trees. As components coalesce, the
-/// per-iteration hooking work shrinks from `O(m)` towards zero while the
-/// fixed `O(n)` star/snapshot/shortcut passes are untouched — the same
-/// frontier-centric trade the sparse BFS strategies make.
-///
-/// The compacted list lives in a double-buffered
-/// [`pram_exec::FrontierBuffer`] of edge indices, rebuilt with per-worker
-/// [`pram_exec::LocalBuffer`]s. Arbitration is byte-for-byte the kernel of
-/// [`cc_with_arbiter`]: the same `try_claim(root, round)` guards the same
-/// two-array hook write, so every concurrent-write method dispatches
-/// unchanged.
-pub fn connected_components_worklist(
-    g: &CsrGraph,
-    method: CwMethod,
-    pool: &ThreadPool,
-) -> CcResult {
-    dispatch_method!(method, g.num_vertices(), |arb| cc_worklist_with_arbiter(
-        g, &arb, pool
-    ))
-}
-
-/// The worklist kernel against an explicit arbiter (one cell per vertex,
-/// freshly armed).
-pub fn cc_worklist_with_arbiter<A: SliceArbiter>(
-    g: &CsrGraph,
-    arb: &A,
-    pool: &ThreadPool,
-) -> CcResult {
-    let n = g.num_vertices();
-    assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let m = edges.len();
-
-    let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
-    let d_snap: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let star: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(1)).collect();
-    let hook_edge: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(NO_HOOK)).collect();
-
-    // Double-buffered active-edge list, initially every directed edge.
-    let work = [
-        FrontierBuffer::with_capacity(m),
-        FrontierBuffer::with_capacity(m),
-    ];
-    let all: Vec<u64> = (0..m as u64).collect();
-    work[0].publish(&all);
-    drop(all);
-
-    let max_iters = 4 * (usize::BITS - n.max(2).leading_zeros()) + 16;
-    let iterations = AtomicU32::new(0);
-    let converged = AtomicU8::new(0);
-
-    pool.run(|ctx| {
-        let sched = Schedule::default();
-        let mut wi = 0usize; // work[wi] is the current active-edge list
-
-        let star_pass = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| star[v].store(1, Ordering::Relaxed));
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                if dv != ddv {
-                    star[v].store(0, Ordering::Relaxed);
-                    star[ddv].store(0, Ordering::Relaxed);
-                }
-            });
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                star[v].store(star[ddv].load(Ordering::Relaxed), Ordering::Relaxed);
-            });
-        };
-        let snapshot = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| {
-                d_snap[v].store(d[v].load(Ordering::Relaxed), Ordering::Relaxed)
-            });
-        };
-
-        let c = ctx.converge_rounds(max_iters, None, |iter_round, flag| {
-            ctx.annotate_round("hook");
-            let i = iter_round.get() - 1;
-            let hook_rounds = [
-                Round::from_iteration(2 * i),
-                Round::from_iteration(2 * i + 1),
-            ];
-            let cur = &work[wi];
-            let wlen = cur.len();
-
-            for (phase, &round) in hook_rounds.iter().enumerate() {
-                let conditional = phase == 0;
-                star_pass(ctx);
-                snapshot(ctx);
-                // Hooking now walks only the active edges.
-                ctx.for_each(0..wlen, sched, |k| {
-                    let e = cur.get(k) as usize;
-                    let (u, v) = edges[e];
-                    if star[u as usize].load(Ordering::Relaxed) == 0 {
-                        return;
-                    }
-                    let du = d_snap[u as usize].load(Ordering::Relaxed);
-                    let dv = d_snap[v as usize].load(Ordering::Relaxed);
-                    let should = if conditional { dv < du } else { dv != du };
-                    if should && arb.try_claim(du as usize, round) {
-                        d[du as usize].store(dv, Ordering::Relaxed);
-                        hook_edge[du as usize].store(e, Ordering::Relaxed);
-                        flag.set();
-                    }
-                });
-                if !arb.rearms_on_new_round() {
-                    ctx.for_each(0..n, sched, |v| arb.reset_range(v..v + 1));
-                }
-            }
-
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed);
-                let ddv = d[dv as usize].load(Ordering::Relaxed);
-                if ddv != dv {
-                    d[v].store(ddv, Ordering::Relaxed);
-                    flag.set();
-                }
-            });
-
-            // Compact: keep only edges whose endpoints still have distinct
-            // parents. `D[u] == D[v]` ⇒ same tree ⇒ same component forever,
-            // so dropped edges can never hook again.
-            let next = &work[1 - wi];
-            ctx.barrier_with(|| next.clear());
-            let mut local = LocalBuffer::new();
-            ctx.for_each_nowait(0..wlen, sched, |k| {
-                let e = cur.get(k) as usize;
-                let (u, v) = edges[e];
-                if d[u as usize].load(Ordering::Relaxed) != d[v as usize].load(Ordering::Relaxed) {
-                    local.push(e as u64, next);
-                }
-            });
-            local.flush(next);
-            ctx.barrier();
-            wi = 1 - wi;
-            ctx.tune(arb);
-        });
-        ctx.master(|| {
-            iterations.store(c.rounds, Ordering::Relaxed);
-            converged.store(u8::from(c.converged), Ordering::Relaxed);
-        });
-    });
-
-    let d: Vec<u32> = d.into_iter().map(AtomicU32::into_inner).collect();
-    let labels = pram_graph::serial::canonical_labels_from(|v| d[d[v as usize] as usize], n);
-    CcResult {
-        labels,
-        hook_edge: hook_edge.into_iter().map(AtomicUsize::into_inner).collect(),
-        iterations: iterations.into_inner(),
-        converged: converged.into_inner() != 0,
-    }
-}
-
 /// Verify a [`CcResult`] against union–find ground truth, including the
 /// hook-edge cross-array consistency that arbitration protects.
 pub fn verify_cc(g: &CsrGraph, r: &CcResult) -> Result<(), String> {
     let n = g.num_vertices();
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let expect = pram_graph::serial::cc_labels(n, &edges);
+    let expect = pram_graph::serial::cc_labels(n, g.directed_edges());
     if r.labels != expect {
         let v = (0..n).find(|&v| expect[v] != r.labels[v]).unwrap();
         return Err(format!(
@@ -377,14 +221,17 @@ pub fn verify_cc(g: &CsrGraph, r: &CcResult) -> Result<(), String> {
         if e == NO_HOOK {
             continue;
         }
-        let Some(&(u, v)) = edges.get(e) else {
+        let Some(&v) = g.targets().get(e) else {
             return Err(format!("hook_edge[{root}] = {e} is not an edge index"));
         };
-        if r.labels[u as usize] != r.labels[root] || r.labels[v as usize] != r.labels[root] {
+        // The source owning CSR slot `e`: the last vertex whose range
+        // starts at or before it.
+        let u = g.offsets().partition_point(|&o| o <= e) - 1;
+        if r.labels[u] != r.labels[root] || r.labels[v as usize] != r.labels[root] {
             return Err(format!(
                 "hook_edge[{root}] = {e} = ({u}, {v}) crosses components \
                  ({}, {} vs root's {})",
-                r.labels[u as usize], r.labels[v as usize], r.labels[root]
+                r.labels[u], r.labels[v as usize], r.labels[root]
             ));
         }
     }
@@ -483,34 +330,23 @@ mod tests {
     }
 
     #[test]
-    fn worklist_matches_reference_on_structured_graphs() {
-        let pool = ThreadPool::new(4);
-        let cases = vec![
-            graph(1, &[]),
-            graph(5, &[]),
-            graph(5, &GraphGen::path(5)),
-            graph(8, &GraphGen::star(8)),
-            graph(12, &GraphGen::disjoint_cliques(3, 4)),
-            graph(9, &GraphGen::grid(3, 3)),
-        ];
+    fn hubs_split_across_an_odd_team() {
+        // A 3-member team splits each hub's adjacency over several edge
+        // blocks. In the two-hub graph, hub 150 takes every v ≡ 0 (mod 3)
+        // and hub 151 every v ≡ 1; the v ≡ 2 vertices are isolated and sit
+        // between the leaves' one-edge ranges.
+        let pool = ThreadPool::new(3);
+        let hubs: Vec<(u32, u32)> = (0..300)
+            .filter(|&v| v != 150 && v != 151 && v % 3 != 2)
+            .map(|v| (150 + v % 3, v))
+            .collect();
+        let cases = [graph(2000, &GraphGen::star(2000)), graph(300, &hubs)];
         for g in &cases {
             for m in single_winner_methods() {
-                let r = connected_components_worklist(g, m, &pool);
+                let r = connected_components(g, m, &pool);
                 verify_cc(g, &r).unwrap_or_else(|e| panic!("{m}: {e}"));
+                assert!(r.hook_edge.iter().any(|&e| e != NO_HOOK), "{m}");
             }
-        }
-    }
-
-    #[test]
-    fn worklist_agrees_with_dense_labels_on_random_graphs() {
-        let pool = ThreadPool::new(4);
-        for seed in 0..4 {
-            let edges = GraphGen::new(seed).gnm(150, 350);
-            let g = graph(150, &edges);
-            let dense = connected_components(&g, CwMethod::CasLt, &pool);
-            let sparse = connected_components_worklist(&g, CwMethod::CasLt, &pool);
-            assert_eq!(sparse.labels, dense.labels, "seed {seed}");
-            verify_cc(&g, &sparse).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 

@@ -22,6 +22,7 @@ use pram_core::SliceArbiter;
 use pram_exec::{Schedule, ThreadPool};
 use pram_graph::CsrGraph;
 
+use crate::csr_walk::source_runs;
 use crate::method::{dispatch_method, CwMethod};
 
 /// Output of [`sv_components`].
@@ -47,8 +48,7 @@ pub fn sv_components(g: &CsrGraph, method: CwMethod, pool: &ThreadPool) -> SvRes
 pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool) -> SvResult {
     let n = g.num_vertices();
     assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let m = edges.len();
+    let (offsets, targets) = (g.offsets(), g.targets());
 
     let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
 
@@ -64,22 +64,25 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
         let sched = Schedule::default();
         let c = ctx.converge_rounds(max_iters, None, |round, flag| {
             // Hook: for each edge, try to hang u's root onto a smaller
-            // parent value from v's side.
-            ctx.for_each(0..m, sched, |e| {
-                let (u, v) = edges[e];
-                let du = d[u as usize].load(Ordering::Relaxed);
-                let dv = d[v as usize].load(Ordering::Relaxed);
-                // Only roots hook (racy check; the claim makes it safe —
-                // at most one writer per root per round, and committed
-                // values strictly decrease, so stale reads cannot cycle).
-                if dv < du
-                    && d[du as usize].load(Ordering::Relaxed) == du
-                    && arb.try_claim(du as usize, round)
-                {
-                    d[du as usize].store(dv, Ordering::Relaxed);
-                    flag.set();
+            // parent value from v's side (edge-balanced CSR walk).
+            for (u, run) in source_runs(offsets, ctx.num_threads(), ctx.thread_id()) {
+                for e in run {
+                    let v = targets[e];
+                    let du = d[u].load(Ordering::Relaxed);
+                    let dv = d[v as usize].load(Ordering::Relaxed);
+                    // Only roots hook (racy check; the claim makes it safe —
+                    // at most one writer per root per round, and committed
+                    // values strictly decrease, so stale reads cannot cycle).
+                    if dv < du
+                        && d[du as usize].load(Ordering::Relaxed) == du
+                        && arb.try_claim(du as usize, round)
+                    {
+                        d[du as usize].store(dv, Ordering::Relaxed);
+                        flag.set();
+                    }
                 }
-            });
+            }
+            ctx.barrier();
             if !arb.rearms_on_new_round() {
                 ctx.for_each(0..n, sched, |v| arb.reset_range(v..v + 1));
             }
@@ -119,8 +122,7 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
 /// Verify an [`SvResult`] against union–find ground truth.
 pub fn verify_sv(g: &CsrGraph, r: &SvResult) -> Result<(), String> {
     let n = g.num_vertices();
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let expect = pram_graph::serial::cc_labels(n, &edges);
+    let expect = pram_graph::serial::cc_labels(n, g.directed_edges());
     if r.labels != expect {
         let v = (0..n).find(|&v| expect[v] != r.labels[v]).unwrap();
         return Err(format!(

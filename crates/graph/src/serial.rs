@@ -1,6 +1,7 @@
 //! Sequential reference algorithms — the ground truth for the parallel
 //! kernels.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 use crate::csr::CsrGraph;
@@ -86,9 +87,14 @@ impl DisjointSet {
 /// Connected-component labels via union–find: `labels[v]` is the smallest
 /// vertex id in `v`'s component — a canonical form any CC algorithm's
 /// output can be normalized to for comparison.
-pub fn cc_labels(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+///
+/// `edges` may be a slice of pairs or an iterator such as
+/// [`crate::CsrGraph::directed_edges`], so a graph is checked without
+/// copying its edge list.
+pub fn cc_labels<E: Borrow<(u32, u32)>>(n: usize, edges: impl IntoIterator<Item = E>) -> Vec<u32> {
     let mut ds = DisjointSet::new(n);
-    for &(u, v) in edges {
+    for e in edges {
+        let &(u, v) = e.borrow();
         ds.union(u, v);
     }
     canonical_labels_from(|v| ds.find(v), n)
@@ -167,7 +173,7 @@ mod tests {
     #[test]
     fn cc_labels_are_canonical() {
         // 0-1-2 component, 3-4 component, 5 isolated.
-        let labels = cc_labels(6, &[(0, 1), (1, 2), (3, 4)]);
+        let labels = cc_labels(6, [(0, 1), (1, 2), (3, 4)]);
         assert_eq!(labels, vec![0, 0, 0, 3, 3, 5]);
     }
 

@@ -126,8 +126,7 @@ fn cc_labels_match_union_find_across_pools_and_methods() {
     for seed in [1u64, 2] {
         let edges = GraphGen::new(seed).gnm(n, 350);
         let g = CsrGraph::from_edges(n, &edges, true);
-        let directed: Vec<(u32, u32)> = g.directed_edges().collect();
-        let reference = serial::cc_labels(n, &directed);
+        let reference = serial::cc_labels(n, g.directed_edges());
         for pool in pools() {
             for m in [CwMethod::CasLt, CwMethod::Gatekeeper, CwMethod::Lock] {
                 let r = connected_components(&g, m, &pool);
@@ -218,7 +217,7 @@ fn sv_threaded_and_ideal_machine_produce_identical_labels() {
         let threaded = pram_algos::sv_components(&g, CwMethod::CasLt, &pool);
         assert_eq!(threaded.labels, ideal, "seed {seed}");
         // And both equal the union-find ground truth.
-        let expect = serial::cc_labels(n, &g.directed_edges().collect::<Vec<_>>());
+        let expect = serial::cc_labels(n, g.directed_edges());
         assert_eq!(ideal, expect);
     }
 }

@@ -3,7 +3,7 @@
 //! the serial ground truth.
 
 use pram_algos::bfs::{bfs, bfs_with_strategy, verify_bfs_tree, BfsStrategy};
-use pram_algos::cc::{connected_components, connected_components_worklist, verify_cc};
+use pram_algos::cc::{connected_components, verify_cc};
 use pram_algos::sv::{sv_components, verify_sv};
 use pram_algos::{first_true, logical_or, max_index, CwMethod};
 use pram_exec::ThreadPool;
@@ -149,23 +149,6 @@ proptest! {
             let tree = verify_bfs_tree(&g, 0, &r);
             prop_assert!(tree.is_ok(), "{}/{}: {}", method, strategy, tree.unwrap_err());
         }
-    }
-
-    #[test]
-    fn cc_worklist_agrees_with_dense_reference(
-        seed in any::<u64>(),
-        n in 2usize..80,
-        density in 0usize..5,
-        method in single_winner_method(),
-        threads in 1usize..5,
-    ) {
-        let edges = GraphGen::new(seed).gnm(n, n * density);
-        let g = CsrGraph::from_edges(n, &edges, true);
-        let pool = ThreadPool::new(threads);
-        let dense = connected_components(&g, method, &pool);
-        let sparse = connected_components_worklist(&g, method, &pool);
-        prop_assert_eq!(&sparse.labels, &dense.labels, "worklist labels diverge under {}", method);
-        prop_assert!(verify_cc(&g, &sparse).is_ok(), "{}", verify_cc(&g, &sparse).unwrap_err());
     }
 
     #[test]
